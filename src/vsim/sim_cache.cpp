@@ -1,5 +1,8 @@
 #include "vsim/sim_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -182,9 +185,14 @@ void SimCache::store(const std::string& key, const Entry& entry) {
     SMTU_CHECK(json.complete());
   }
 
-  // Temp-file + rename so concurrent readers never see a partial entry.
+  // Temp-file + rename so concurrent readers never see a partial entry. The
+  // temp name is unique per writer (pid + per-process sequence number): two
+  // writers of one key, in one process or several, must never truncate or
+  // rename each other's file.
+  static std::atomic<u64> tmp_seq{0};
   const std::string path = path_for(key);
-  const std::string tmp = path + ".tmp";
+  const std::string tmp =
+      path + "." + std::to_string(::getpid()) + "." + std::to_string(tmp_seq++) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     SMTU_CHECK_MSG(out.good(), "sim-cache: cannot write " + tmp);

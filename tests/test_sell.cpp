@@ -1,13 +1,14 @@
 // SELL-C-σ format invariants: round-trip, permutation correctness, chunk
-// padding accounting against ELL, and the degenerate corners (σ=1, C larger
-// than the row count, empty rows/matrices).
+// padding accounting against ELLPACK (the C=rows, σ=1 corner), and the
+// degenerate corners (σ=1, C larger than the row count, empty rows/matrices).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "formats/csr.hpp"
-#include "formats/ell.hpp"
 #include "formats/sell.hpp"
 #include "testing.hpp"
 
@@ -101,14 +102,26 @@ TEST(SellCSigma, EmptyRowsAndEmptyMatrix) {
 TEST(SellCSigma, PaddingNeverExceedsEllAndGlobalSortNeverExceedsSigmaOne) {
   Rng rng(11);
   const Coo coo = irregular_coo(96, 64, rng);
-  const Ell ell = Ell::from_coo(coo);
+  // ELLPACK is the C = rows, σ = 1 corner: one chunk, padded to the longest
+  // row of the whole matrix.
+  const SellCSigma ell = SellCSigma::from_coo(coo, static_cast<u32>(coo.rows()), 1);
   const u32 chunk = 8;
   const SellCSigma unsorted = SellCSigma::from_coo(coo, chunk, 1);
   const SellCSigma global = SellCSigma::from_coo(coo, chunk, 0);
 
-  // Chunk-local widths can only shrink the slot count versus ELL's global
-  // width, and sorting can only shrink it versus not sorting.
-  const u64 ell_slots = static_cast<u64>(ell.rows()) * ell.width();
+  const Csr csr = Csr::from_coo(coo);
+  const std::vector<u32>& row_ptr = csr.row_ptr();
+  u32 max_row_len = 0;
+  for (usize r = 0; r + 1 < row_ptr.size(); ++r) {
+    max_row_len = std::max(max_row_len, row_ptr[r + 1] - row_ptr[r]);
+  }
+  ASSERT_EQ(ell.num_chunks(), 1u);
+  EXPECT_EQ(ell.chunk_width()[0], max_row_len);
+  const u64 ell_slots = static_cast<u64>(ell.rows()) * ell.chunk_width()[0];
+  EXPECT_EQ(ell.padded_slots() + ell.nnz(), ell_slots);
+
+  // Chunk-local widths can only shrink the slot count versus ELLPACK's
+  // global width, and sorting can only shrink it versus not sorting.
   EXPECT_LE(unsorted.padded_slots() + unsorted.nnz(), ell_slots);
   EXPECT_LE(global.padded_slots(), unsorted.padded_slots());
   EXPECT_GE(global.fill_ratio(), 1.0);
@@ -117,9 +130,11 @@ TEST(SellCSigma, PaddingNeverExceedsEllAndGlobalSortNeverExceedsSigmaOne) {
 
 TEST(SellCSigma, HostSpmvIsBitIdenticalToCsr) {
   Rng rng(13);
-  for (const u32 sigma : {0u, 1u, 8u}) {
+  // {C, σ}; the last is ELLPACK (C = rows, σ = 1).
+  const std::pair<u32, u32> configs[] = {{8, 0}, {8, 1}, {8, 8}, {80, 1}};
+  for (const auto& [chunk, sigma] : configs) {
     const Coo coo = irregular_coo(80, 60, rng);
-    const SellCSigma sell = SellCSigma::from_coo(coo, 8, sigma);
+    const SellCSigma sell = SellCSigma::from_coo(coo, chunk, sigma);
     const Csr csr = Csr::from_coo(coo);
     std::vector<float> x(coo.cols());
     for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "formats/coo.hpp"
@@ -172,6 +174,38 @@ TEST(SimCache, StoreUpgradesButNeverDowngrades) {
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->verified);
   EXPECT_EQ(entry->profile_json, "{\"p\":1}");
+}
+
+TEST(SimCache, ConcurrentWritersOfOneKeyNeverCollide) {
+  // Each thread stands in for a separate process: its own SimCache on one
+  // shared directory, all storing the same key at once. A shared temp file
+  // would let one writer's rename steal (or truncate) another's.
+  TempDir dir("simcache_race");
+  std::filesystem::create_directories(dir.str());
+  const std::string key = "fedcba9876543210fedcba9876543210";
+  vsim::RunStats stats;
+  stats.cycles = 4242;
+  constexpr u64 kWriters = 8;
+  constexpr u64 kStoresEach = 25;
+
+  std::atomic<u64> stores{0};
+  std::vector<std::thread> writers;
+  for (u64 w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      vsim::SimCache cache(dir.str());
+      for (u64 i = 0; i < kStoresEach; ++i) cache.store(key, {stats, false, ""});
+      stores += cache.stats().stores;
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(stores.load(), kWriters * kStoresEach);
+
+  const auto entry = vsim::SimCache(dir.str()).lookup(key, false, false);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(stats_json(entry->stats), stats_json(stats));
+  for (const auto& file : std::filesystem::directory_iterator(dir.str())) {
+    EXPECT_NE(file.path().extension(), ".tmp") << file.path();
+  }
 }
 
 TEST(ProgramCache, SharesOnePredecodedProgram) {
