@@ -126,80 +126,80 @@ void finish_telemetry(const BenchOptions& options) {
                telemetry::MetricsRegistry::instance().summary().c_str());
 }
 
-TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
-                                       const vsim::MachineConfig& config, bool verify,
-                                       bool profile, vsim::SimCache* sim_cache) {
-  const auto started = std::chrono::steady_clock::now();
-  const auto hism_stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-  const auto crs_stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
+namespace {
 
+// Replays one simulation from the sim cache, or runs it and stores it. The
+// entry registers are a pure function of the staged image, so the (source,
+// config, snapshot) triple fully keys the simulation.
+template <typename Simulate>
+KernelRun cached_kernel_run(vsim::SimCache* sim_cache, std::string_view source,
+                            const vsim::MachineConfig& config, std::span<const u8> snapshot,
+                            bool verify, bool profile, Simulate simulate) {
+  KernelRun run;
+  std::string key;
+  if (sim_cache) {
+    key = vsim::sim_cache_key(source, config, snapshot, {});
+    if (const auto hit = sim_cache->lookup(key, verify, profile)) {
+      run.stats = hit->stats;
+      run.profile_json = hit->profile_json;
+      return run;
+    }
+  }
+  vsim::PerfCounters counters;
+  run.stats = simulate(profile ? &counters : nullptr);
+  if (profile) run.profile_json = render_profile_json(counters);
+  if (sim_cache) sim_cache->store(key, {run.stats, verify, run.profile_json});
+  return run;
+}
+
+}  // namespace
+
+KernelRun run_hism_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
+                          bool verify, bool profile, vsim::SimCache* sim_cache) {
+  const auto started = std::chrono::steady_clock::now();
+  const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
+  KernelRun run = cached_kernel_run(
+      sim_cache, kernels::hism_transpose_source(false), config, *stage->snapshot, verify,
+      profile, [&](vsim::PerfCounters* profiler) {
+        if (!verify) {
+          return kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false,
+                                              nullptr, profiler);
+        }
+        const auto result = kernels::run_hism_transpose(
+            *stage, config, /*split_drain_registers=*/false, nullptr, profiler);
+        SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), entry.matrix.transposed()),
+                       "HiSM kernel produced a wrong transpose for " + entry.name);
+        return result.stats;
+      });
+  run.wall_ms = elapsed_ms(started);
+  return run;
+}
+
+KernelRun run_crs_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
+                         bool verify, bool profile, vsim::SimCache* sim_cache) {
+  const auto started = std::chrono::steady_clock::now();
+  const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
+  KernelRun run = cached_kernel_run(
+      sim_cache, kernels::crs_transpose_source(config.section, {}), config, *stage->snapshot,
+      verify, profile, [&](vsim::PerfCounters* profiler) {
+        if (!verify) return kernels::time_crs_transpose(*stage, config, {}, profiler);
+        const auto result = kernels::run_crs_transpose(*stage, config, {}, profiler);
+        SMTU_CHECK_MSG(structurally_equal(result.transposed, entry.matrix.transposed()),
+                       "CRS kernel produced a wrong transpose for " + entry.name);
+        return result.stats;
+      });
+  run.wall_ms = elapsed_ms(started);
+  return run;
+}
+
+TransposeComparison combine_transposes(const suite::SuiteMatrix& entry, bool profile,
+                                       KernelRun hism, KernelRun crs) {
   TransposeComparison comparison;
   comparison.profiled = profile;
-
-  // The entry registers are a pure function of the staged image, so the
-  // (source, config, snapshot) triple fully keys each simulation.
-  std::string hism_key;
-  std::string crs_key;
-  std::optional<vsim::SimCache::Entry> hism_hit;
-  std::optional<vsim::SimCache::Entry> crs_hit;
-  if (sim_cache) {
-    hism_key = vsim::sim_cache_key(kernels::hism_transpose_source(false), config,
-                                   *hism_stage->snapshot, {});
-    crs_key = vsim::sim_cache_key(kernels::crs_transpose_source(config.section, {}), config,
-                                  *crs_stage->snapshot, {});
-    hism_hit = sim_cache->lookup(hism_key, verify, profile);
-    crs_hit = sim_cache->lookup(crs_key, verify, profile);
-  }
-
-  // Built only if a verifying run actually simulates (both kernels check
-  // against the same reference transpose).
-  std::optional<Coo> expected;
-  const auto expected_coo = [&]() -> const Coo& {
-    if (!expected) expected = entry.matrix.transposed();
-    return *expected;
-  };
-
-  if (hism_hit) {
-    comparison.hism_stats = hism_hit->stats;
-    comparison.hism_profile_json = hism_hit->profile_json;
-  } else {
-    vsim::PerfCounters counters;
-    vsim::PerfCounters* profiler = profile ? &counters : nullptr;
-    if (verify) {
-      const auto result = kernels::run_hism_transpose(
-          *hism_stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-      SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), expected_coo()),
-                     "HiSM kernel produced a wrong transpose for " + entry.name);
-      comparison.hism_stats = result.stats;
-    } else {
-      comparison.hism_stats = kernels::time_hism_transpose(
-          *hism_stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-    }
-    if (profile) comparison.hism_profile_json = render_profile_json(counters);
-    if (sim_cache) {
-      sim_cache->store(hism_key, {comparison.hism_stats, verify, comparison.hism_profile_json});
-    }
-  }
-
-  if (crs_hit) {
-    comparison.crs_stats = crs_hit->stats;
-    comparison.crs_profile_json = crs_hit->profile_json;
-  } else {
-    vsim::PerfCounters counters;
-    vsim::PerfCounters* profiler = profile ? &counters : nullptr;
-    if (verify) {
-      const auto result = kernels::run_crs_transpose(*crs_stage, config, {}, profiler);
-      SMTU_CHECK_MSG(structurally_equal(result.transposed, expected_coo()),
-                     "CRS kernel produced a wrong transpose for " + entry.name);
-      comparison.crs_stats = result.stats;
-    } else {
-      comparison.crs_stats = kernels::time_crs_transpose(*crs_stage, config, {}, profiler);
-    }
-    if (profile) comparison.crs_profile_json = render_profile_json(counters);
-    if (sim_cache) {
-      sim_cache->store(crs_key, {comparison.crs_stats, verify, comparison.crs_profile_json});
-    }
-  }
+  comparison.hism_stats = hism.stats;
+  comparison.crs_stats = crs.stats;
+  comparison.hism_profile_json = std::move(hism.profile_json);
+  comparison.crs_profile_json = std::move(crs.profile_json);
   comparison.hism_cycles = comparison.hism_stats.cycles;
   comparison.crs_cycles = comparison.crs_stats.cycles;
 
@@ -210,12 +210,20 @@ TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                            ? 0.0
                            : static_cast<double>(comparison.crs_cycles) /
                                  static_cast<double>(comparison.hism_cycles);
-  comparison.wall_ms = elapsed_ms(started);
+  comparison.wall_ms = hism.wall_ms + crs.wall_ms;
   if (telemetry::enabled()) {
     telemetry::histogram("bench.item_wall_us")
         .record(static_cast<u64>(comparison.wall_ms * 1000.0));
   }
   return comparison;
+}
+
+TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
+                                       const vsim::MachineConfig& config, bool verify,
+                                       bool profile, vsim::SimCache* sim_cache) {
+  KernelRun hism = run_hism_kernel(entry, config, verify, profile, sim_cache);
+  KernelRun crs = run_crs_kernel(entry, config, verify, profile, sim_cache);
+  return combine_transposes(entry, profile, std::move(hism), std::move(crs));
 }
 
 std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>& set,
@@ -225,15 +233,18 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
                                           double (*metric)(const suite::MatrixMetrics&)) {
   vsim::SimCache* sim_cache = sim_cache_for(options.sim_cache_dir);
   ThreadPool pool(options.jobs);
-  return parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    return MatrixRecord{
-        entry.name,
-        entry.set,
-        metric_name,
-        metric ? metric(entry.metrics) : 0.0,
-        entry.matrix.nnz(),
-        compare_transposes(entry, config, options.verify, options.profile, sim_cache)};
-  });
+  return parallel_map(
+      pool, set,
+      [&](const suite::SuiteMatrix& entry) {
+        return MatrixRecord{
+            entry.name,
+            entry.set,
+            metric_name,
+            metric ? metric(entry.metrics) : 0.0,
+            entry.matrix.nnz(),
+            compare_transposes(entry, config, options.verify, options.profile, sim_cache)};
+      },
+      [](const suite::SuiteMatrix& entry) { return entry.matrix.nnz(); });
 }
 
 double buffer_utilization(const HismMatrix& hism, const StmConfig& config) {

@@ -115,8 +115,31 @@ struct TransposeComparison {
 // SimCache profile payload format).
 std::string render_profile_json(const vsim::PerfCounters& profile);
 
-// A non-null `sim_cache` is consulted before each simulation and updated
-// after: hits replay the stored RunStats/profile without running the machine.
+// One kernel's half of a comparison: its run counters, its pre-rendered
+// profile section (empty unless profiled) and the host wall time it took,
+// staging included.
+struct KernelRun {
+  vsim::RunStats stats;
+  std::string profile_json;
+  double wall_ms = 0.0;
+};
+
+// The HiSM (STM) and CRS halves of compare_transposes, each runnable as its
+// own task. A non-null `sim_cache` is consulted before the simulation and
+// updated after: hits replay the stored RunStats/profile without running
+// the machine. With `verify`, a simulated transpose is decoded and checked
+// against the reference before its counters are used.
+KernelRun run_hism_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
+                          bool verify, bool profile, vsim::SimCache* sim_cache);
+KernelRun run_crs_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
+                         bool verify, bool profile, vsim::SimCache* sim_cache);
+
+// Joins the two halves into a comparison (cycles per non-zero, speedup; the
+// wall time is the sum of both halves).
+TransposeComparison combine_transposes(const suite::SuiteMatrix& entry, bool profile,
+                                       KernelRun hism, KernelRun crs);
+
+// Both halves, one after the other.
 TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
                                        bool profile = false,
@@ -212,7 +235,8 @@ struct MatrixRecord {
 };
 
 // Runs compare_transposes for every matrix of `set` across a thread pool
-// sized by options.jobs, preserving set order in the returned records. Each
+// sized by options.jobs (largest matrix first), preserving set order in the
+// returned records. Each
 // task runs its own Machine against immutable shared stages, so cycle counts
 // are identical for every jobs value; only wall_ms differs. When
 // options.sim_cache_dir is set, results are replayed from / stored to the

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -44,29 +45,6 @@ struct FigureResult {
   std::vector<bench::MatrixRecord> records;
 };
 
-std::vector<bench::MatrixRecord> run_set(std::ostream& out,
-                                         const std::vector<suite::SuiteMatrix>& set,
-                                         const std::string& metric_header,
-                                         double (*metric)(const suite::MatrixMetrics&),
-                                         const bench::BenchOptions& options,
-                                         const vsim::MachineConfig& config) {
-  // Fanned across the pool; record order (and thus every table/JSON row)
-  // matches the serial -j1 run.
-  const std::vector<bench::MatrixRecord> records =
-      bench::run_comparisons(set, config, options, metric_header, metric);
-  TextTable table({"matrix", metric_header, "nnz", "HiSM cyc/nnz", "CRS cyc/nnz", "speedup"});
-  for (const auto& record : records) {
-    table.add_row({record.name, format("%.2f", record.metric), format("%zu", record.nnz),
-                   format("%.2f", record.comparison.hism_cycles_per_nnz),
-                   format("%.2f", record.comparison.crs_cycles_per_nnz),
-                   format("%.1f", record.comparison.speedup)});
-  }
-  std::fprintf(stderr, "  %s done (%zu matrices)\n",
-               set.empty() ? "?" : set.front().set.c_str(), records.size());
-  markdown_table(out, table);
-  return records;
-}
-
 struct Fig10Grid {
   std::vector<u32> bandwidths{1, 2, 4, 8};
   std::vector<u32> lines{1, 2, 4, 8};
@@ -76,6 +54,94 @@ struct Fig10Grid {
 struct StorageSummary {
   double hism_crs_byte_ratio_avg = 0.0;
   double overhead_fraction_avg = 0.0;
+};
+
+struct StorageRow {
+  double ratio = 0.0;
+  double overhead = 0.0;
+};
+
+struct Figure {
+  const char* title;
+  const char* figure;
+  const char* set;
+  const char* metric_header;
+  double (*metric)(const suite::MatrixMetrics&);
+  double paper_min, paper_max, paper_avg;
+};
+
+const Figure kFigures[] = {
+    {"Fig. 11 — performance vs. locality", "fig11", suite::kSetLocality, "locality",
+     [](const suite::MatrixMetrics& m) { return m.locality; }, 1.8, 32.0, 16.5},
+    {"Fig. 12 — performance vs. avg non-zeros/row", "fig12", suite::kSetAnz, "nnz/row",
+     [](const suite::MatrixMetrics& m) { return m.avg_nnz_per_row; }, 11.9, 28.9, 20.0},
+    {"Fig. 13 — performance vs. size", "fig13", suite::kSetSize, "nnz",
+     [](const suite::MatrixMetrics& m) { return static_cast<double>(m.nnz); }, 3.4, 28.2,
+     15.5},
+};
+
+// The pieces of work one suite matrix contributes to the run, each its own
+// pool task.
+enum class Part : u8 {
+  kHism,     // HiSM transpose simulation (Figs. 11-13)
+  kCrs,      // CRS transpose simulation (Figs. 11-13)
+  kFig10,    // its row of the Fig. 10 grid
+  kStorage,  // its HiSM/CRS storage ratio
+};
+
+struct Task {
+  usize matrix;  // suite index
+  Part part;
+};
+
+// What the tasks of one suite matrix produce, stored by suite index so every
+// sum below runs in suite order, whatever the schedule.
+struct MatrixResults {
+  bench::KernelRun hism;
+  bench::KernelRun crs;
+  std::vector<double> fig10;  // utilization at [bandwidth * lines.size() + line]
+  StorageRow storage;
+};
+
+// Prints the figure banners to stderr in figure order while the tasks of all
+// figures run at once: "Fig. 1x ..." when the previous figure's set is done,
+// "  <set> done (N matrices)" once the last simulation of its set finished.
+class FigureProgress {
+ public:
+  explicit FigureProgress(const std::vector<suite::SuiteMatrix>& suite) {
+    for (const Figure& figure : kFigures) {
+      usize matrices = 0;
+      for (const auto& entry : suite) matrices += entry.set == figure.set ? 1 : 0;
+      matrices_.push_back(matrices);
+      remaining_.push_back(2 * matrices);  // one HiSM and one CRS simulation each
+    }
+    std::fprintf(stderr, "%s ...\n", kFigures[0].title);
+    advance();
+  }
+
+  void simulated(const std::string& set) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (usize f = 0; f < std::size(kFigures); ++f) {
+      if (set == kFigures[f].set) --remaining_[f];
+    }
+    advance();
+  }
+
+ private:
+  void advance() {
+    while (current_ < std::size(kFigures) && remaining_[current_] == 0) {
+      std::fprintf(stderr, "  %s done (%zu matrices)\n", kFigures[current_].set,
+                   matrices_[current_]);
+      if (++current_ < std::size(kFigures)) {
+        std::fprintf(stderr, "%s ...\n", kFigures[current_].title);
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::vector<usize> matrices_;
+  std::vector<usize> remaining_;
+  usize current_ = 0;
 };
 
 }  // namespace
@@ -104,48 +170,86 @@ int main(int argc, char** argv) {
       config.mem_indexed_elems_per_cycle, config.chaining ? "on" : "off",
       config.stm.bandwidth, config.stm.lines, options.suite.scale);
 
-  // The full suite is generated once; every section below (the Fig. 10
-  // grid, the per-figure sets, the storage claim) slices or reuses it —
-  // build_dsab_suite is just the three sets concatenated, so the slices are
-  // bit-identical to building each set on its own.
+  // One pool serves the whole run. The suite is generated on it first
+  // (setup ends at the "Fig. 10" banner); then every matrix's four parts —
+  // both simulations, its Fig. 10 row and its storage row — are dispatched
+  // together, largest matrix first, so the biggest tasks start early instead
+  // of setting the tail of a per-section barrier. Storage rows only read
+  // stages the other parts build, so they go last. Results land by suite
+  // index and every table, sum and JSON row below is assembled in suite
+  // order: identical for every -j value.
+  ThreadPool pool(options.jobs);
+  vsim::SimCache* sim_cache = bench::sim_cache_for(options.sim_cache_dir);
   std::fprintf(stderr, "suite ...\n");
-  const auto suite_matrices = suite::build_dsab_suite(options.suite);
-  const auto set_slice = [&](const char* set_name) {
-    std::vector<suite::SuiteMatrix> slice;
-    for (const auto& entry : suite_matrices) {
-      if (entry.set == set_name) slice.push_back(entry);
-    }
-    return slice;
-  };
+  const auto suite_matrices = suite::build_dsab_suite(pool, options.suite);
+
+  std::fprintf(stderr, "Fig. 10 ...\n");
+  Fig10Grid fig10;
+  std::vector<MatrixResults> results(suite_matrices.size());
+  std::vector<Task> tasks;
+  for (const Part part : {Part::kHism, Part::kCrs, Part::kFig10, Part::kStorage}) {
+    for (usize i = 0; i < suite_matrices.size(); ++i) tasks.push_back({i, part});
+  }
+  FigureProgress progress(suite_matrices);
+  parallel_map(
+      pool, tasks,
+      [&](const Task& task) {
+        const suite::SuiteMatrix& entry = suite_matrices[task.matrix];
+        MatrixResults& result = results[task.matrix];
+        auto& stages = kernels::MatrixStageCache::instance();
+        switch (task.part) {
+          case Part::kHism:
+            result.hism = bench::run_hism_kernel(entry, config, options.verify, options.profile,
+                                                 sim_cache);
+            progress.simulated(entry.set);
+            break;
+          case Part::kCrs:
+            result.crs = bench::run_crs_kernel(entry, config, options.verify, options.profile,
+                                               sim_cache);
+            progress.simulated(entry.set);
+            break;
+          case Part::kFig10: {
+            // The STM line traces are config-independent: extracted once,
+            // they serve all 16 (B, L) grid points.
+            const kernels::StmTraceSet traces =
+                kernels::stm_block_traces(stages.hism(entry.matrix, config.section)->hism);
+            for (const u32 bandwidth : fig10.bandwidths) {
+              for (const u32 lines : fig10.lines) {
+                StmConfig stm;
+                stm.bandwidth = bandwidth;
+                stm.lines = lines;
+                result.fig10.push_back(kernels::stm_utilization(traces, stm).utilization);
+              }
+            }
+            break;
+          }
+          case Part::kStorage: {
+            const auto crs = stages.crs(entry.matrix);
+            const HismStats stats = compute_stats(stages.hism(entry.matrix, config.section)->hism);
+            result.storage = {static_cast<double>(stats.storage_bytes) /
+                                  static_cast<double>(crs->csr.storage_bytes()),
+                              stats.overhead_fraction};
+            break;
+          }
+        }
+      },
+      [&](const Task& task) {
+        return task.part == Part::kStorage ? 0 : suite_matrices[task.matrix].matrix.nnz();
+      });
 
   // ---- Fig. 10 -----------------------------------------------------------
-  std::fprintf(stderr, "Fig. 10 ...\n");
   out << "## Fig. 10 — buffer bandwidth utilization\n\n";
-  Fig10Grid fig10;
   {
-    ThreadPool pool(options.jobs);
-    // Conversions land in the process-wide stage cache, so the Fig. 11-13
-    // comparisons below reuse them instead of re-running from_coo. The STM
-    // line traces are config-independent: extracted once per matrix here,
-    // they serve all 16 (B, L) grid points below.
-    const auto traces =
-        parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
-          return kernels::stm_block_traces(
-              kernels::MatrixStageCache::instance().hism(entry.matrix, config.section)->hism);
-        });
     TextTable table({"B", "L=1", "L=2", "L=4", "L=8"});
-    for (const u32 bandwidth : fig10.bandwidths) {
-      std::vector<std::string> row = {format("%u", bandwidth)};
+    for (usize b = 0; b < fig10.bandwidths.size(); ++b) {
+      std::vector<std::string> row = {format("%u", fig10.bandwidths[b])};
       std::vector<double> util_row;
-      for (const u32 lines : fig10.lines) {
-        StmConfig stm;
-        stm.bandwidth = bandwidth;
-        stm.lines = lines;
+      for (usize l = 0; l < fig10.lines.size(); ++l) {
         double sum = 0.0;
-        for (const auto& trace : traces) {
-          sum += kernels::stm_utilization(trace, stm).utilization;
+        for (const MatrixResults& result : results) {
+          sum += result.fig10[b * fig10.lines.size() + l];
         }
-        util_row.push_back(sum / static_cast<double>(traces.size()));
+        util_row.push_back(sum / static_cast<double>(results.size()));
         row.push_back(format("%.3f", util_row.back()));
       }
       fig10.utilization.push_back(std::move(util_row));
@@ -157,32 +261,28 @@ int main(int argc, char** argv) {
   }
 
   // ---- Figs. 11-13 ---------------------------------------------------------
-  struct Figure {
-    const char* title;
-    const char* figure;
-    const char* set;
-    const char* metric_header;
-    double (*metric)(const suite::MatrixMetrics&);
-    double paper_min, paper_max, paper_avg;
-  };
-  const Figure figures[] = {
-      {"Fig. 11 — performance vs. locality", "fig11", suite::kSetLocality, "locality",
-       [](const suite::MatrixMetrics& m) { return m.locality; }, 1.8, 32.0, 16.5},
-      {"Fig. 12 — performance vs. avg non-zeros/row", "fig12", suite::kSetAnz, "nnz/row",
-       [](const suite::MatrixMetrics& m) { return m.avg_nnz_per_row; }, 11.9, 28.9, 20.0},
-      {"Fig. 13 — performance vs. size", "fig13", suite::kSetSize, "nnz",
-       [](const suite::MatrixMetrics& m) { return static_cast<double>(m.nnz); }, 3.4, 28.2,
-       15.5},
-  };
   std::vector<FigureResult> figure_results;
   std::vector<bench::MatrixRecord> all_records;
-  for (const Figure& figure : figures) {
-    std::fprintf(stderr, "%s ...\n", figure.title);
+  for (const Figure& figure : kFigures) {
     out << "## " << figure.title << "\n\n";
     FigureResult result{figure.figure, figure.set, figure.paper_min, figure.paper_max,
                         figure.paper_avg, {}};
-    result.records = run_set(out, set_slice(figure.set), figure.metric_header, figure.metric,
-                             options, config);
+    TextTable table(
+        {"matrix", figure.metric_header, "nnz", "HiSM cyc/nnz", "CRS cyc/nnz", "speedup"});
+    for (usize i = 0; i < suite_matrices.size(); ++i) {
+      const suite::SuiteMatrix& entry = suite_matrices[i];
+      if (entry.set != figure.set) continue;
+      const bench::MatrixRecord& record = result.records.emplace_back(bench::MatrixRecord{
+          entry.name, entry.set, figure.metric_header, figure.metric(entry.metrics),
+          entry.matrix.nnz(),
+          bench::combine_transposes(entry, options.profile, std::move(results[i].hism),
+                                    std::move(results[i].crs))});
+      table.add_row({record.name, format("%.2f", record.metric), format("%zu", record.nnz),
+                     format("%.2f", record.comparison.hism_cycles_per_nnz),
+                     format("%.2f", record.comparison.crs_cycles_per_nnz),
+                     format("%.1f", record.comparison.speedup)});
+    }
+    markdown_table(out, table);
     const bench::SpeedupSummary summary = bench::summarize_speedups(result.records);
     out << format("measured speedup: min %.1f, max %.1f, avg %.1f — paper: %.1f / %.1f / %.1f\n\n",
                   summary.min, summary.max, summary.avg, figure.paper_min, figure.paper_max,
@@ -198,34 +298,17 @@ int main(int argc, char** argv) {
                 "(paper: 1.8 .. 32.0, average 17.6).\n\n",
                 headline.count, headline.min, headline.max, headline.avg);
 
-  std::fprintf(stderr, "storage ...\n");
   out << "## Storage (§II claim)\n\n";
   StorageSummary storage;
   {
-    struct StorageRow {
-      double ratio;
-      double overhead;
-    };
-    ThreadPool pool(options.jobs);
-    const std::vector<StorageRow> rows =
-        parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
-          const auto crs = kernels::MatrixStageCache::instance().crs(entry.matrix);
-          const auto hism =
-              kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-          const HismStats stats = compute_stats(hism->hism);
-          return StorageRow{static_cast<double>(stats.storage_bytes) /
-                                static_cast<double>(crs->csr.storage_bytes()),
-                            stats.overhead_fraction};
-        });
-    // Summed in suite order, off the pool: identical for every -j value.
     double ratio_sum = 0.0;
     double overhead_sum = 0.0;
-    for (const StorageRow& row : rows) {
-      ratio_sum += row.ratio;
-      overhead_sum += row.overhead;
+    for (const MatrixResults& result : results) {
+      ratio_sum += result.storage.ratio;
+      overhead_sum += result.storage.overhead;
     }
-    storage.hism_crs_byte_ratio_avg = ratio_sum / static_cast<double>(rows.size());
-    storage.overhead_fraction_avg = overhead_sum / static_cast<double>(rows.size());
+    storage.hism_crs_byte_ratio_avg = ratio_sum / static_cast<double>(results.size());
+    storage.overhead_fraction_avg = overhead_sum / static_cast<double>(results.size());
     out << format("HiSM/CRS byte ratio averages %.2f over the suite; hierarchy overhead "
                   "averages %.1f%% (paper: ~2-5%% at s = 64).\n",
                   storage.hism_crs_byte_ratio_avg, 100.0 * storage.overhead_fraction_avg);

@@ -32,6 +32,7 @@ void Coo::add(Index row, Index col, float value) {
 }
 
 void Coo::canonicalize() {
+  if (is_canonical()) return;
   std::sort(entries_.begin(), entries_.end(), row_major_less);
   usize write = 0;
   for (usize read = 0; read < entries_.size();) {
@@ -54,16 +55,31 @@ bool Coo::is_canonical() const {
 }
 
 Coo Coo::transposed() const {
+  Coo storage;
+  const Coo& source = canonical_form(*this, storage);
+  // Row-major input scattered stably into column buckets comes out sorted
+  // by (col, row): the transpose's canonical order.
+  std::vector<usize> next(cols_ + 1, 0);
+  for (const CooEntry& e : source.entries_) ++next[e.col + 1];
+  for (Index c = 0; c < cols_; ++c) next[c + 1] += next[c];
   Coo result(cols_, rows_);
-  result.entries_.reserve(entries_.size());
-  for (const CooEntry& e : entries_) result.entries_.push_back({e.col, e.row, e.value});
-  result.canonicalize();
+  result.entries_.resize(source.entries_.size());
+  for (const CooEntry& e : source.entries_) {
+    result.entries_[next[e.col]++] = {e.col, e.row, e.value};
+  }
   return result;
 }
 
 double Coo::avg_nnz_per_row() const {
   if (rows_ == 0) return 0.0;
   return static_cast<double>(entries_.size()) / static_cast<double>(rows_);
+}
+
+const Coo& canonical_form(const Coo& coo, Coo& storage) {
+  if (coo.is_canonical()) return coo;
+  storage = coo;
+  storage.canonicalize();
+  return storage;
 }
 
 bool structurally_equal(Coo lhs, Coo rhs) {

@@ -37,11 +37,14 @@ class Coo {
   void add(Index row, Index col, float value);
 
   // Sorts row-major, merges duplicate coordinates by summation, and drops
-  // explicit zeros produced by merging. Idempotent.
+  // explicit zeros produced by merging. Idempotent; a canonical matrix is
+  // left as is after one linear check.
   void canonicalize();
   bool is_canonical() const;
 
   // Returns the transpose (rows/cols swapped, each entry mirrored), canonical.
+  // A counting sort by column (histogram, prefix sum, scatter): linear in
+  // nnz + cols for canonical input.
   Coo transposed() const;
 
   // Average number of non-zeros per row (the paper's ANZ metric).
@@ -56,5 +59,10 @@ class Coo {
   Index cols_ = 0;
   std::vector<CooEntry> entries_;
 };
+
+// `coo` itself when it is already canonical, otherwise a canonical copy held
+// in `storage`: conversions read canonical entries without copying input
+// that needs no work.
+const Coo& canonical_form(const Coo& coo, Coo& storage);
 
 }  // namespace smtu

@@ -7,33 +7,6 @@
 #include "support/bits.hpp"
 
 namespace smtu {
-namespace {
-
-// Base-s digit k of a coordinate: the position of the element at hierarchy
-// level k (§III of the paper: i = i_0 + i_1 s + ... + i_q s^q).
-constexpr u32 digit(Index coord, u32 level, u32 section) {
-  return static_cast<u32>((coord / ipow(section, level)) % section);
-}
-
-// Hierarchical sort key: most-significant digits first, so sorting groups
-// entries into top-level blocks, then sub-blocks. The digit order at levels
-// >= 1 realizes the requested high-level storage order directly in the key —
-// no post-build re-sort pass. Level 0 is always row-major (the paper's
-// element layout).
-u64 hierarchical_key(Index row, Index col, u32 levels, u32 section,
-                     HighLevelOrder high_order) {
-  const bool col_first = high_order == HighLevelOrder::kColMajor;
-  u64 key = 0;
-  for (u32 k = levels; k-- > 1;) {
-    const u32 r = digit(row, k, section);
-    const u32 c = digit(col, k, section);
-    key = (key * section + (col_first ? c : r)) * section + (col_first ? r : c);
-  }
-  return (key * section + digit(row, 0, section)) * section + digit(col, 0, section);
-}
-
-}  // namespace
-
 void sort_block_row_major(BlockArray& block) {
   const usize n = block.size();
   std::vector<u32> order(n);
@@ -59,8 +32,11 @@ void sort_block_row_major(BlockArray& block) {
 HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high_order) {
   SMTU_CHECK_MSG(section >= 2 && section <= kMaxSection, "section size must be in [2, 256]");
 
-  Coo canonical = coo;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = canonical_form(coo, storage);
+  const std::vector<CooEntry>& entries = canonical.entries();
+  const usize n = entries.size();
+  SMTU_CHECK_MSG(n <= 0xffffffffULL, "HiSM construction uses 32-bit entry indices");
 
   HismMatrix hism;
   hism.section_ = section;
@@ -71,66 +47,93 @@ HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high
   const u32 levels = std::max<u32>(1, log_ceil(max_dim, section));
   hism.levels_.resize(levels);
 
-  // Sort entries by hierarchical key so each block at every level is a
-  // contiguous range, already in the requested storage order. Keys are
-  // precomputed — evaluating the digit decomposition inside the comparator
-  // would dominate construction time for paper-scale matrices.
-  std::vector<std::pair<u64, CooEntry>> keyed;
-  keyed.reserve(canonical.nnz());
-  for (const CooEntry& e : canonical.entries()) {
-    keyed.emplace_back(hierarchical_key(e.row, e.col, levels, section, high_order), e);
+  // digits[k][i]: entry i's position inside its level-k block, i.e. its
+  // base-s row and column digits k (§III: i = i_0 + i_1 s + ... + i_q s^q).
+  // Canonical input is row-major, so row digits change only with the row.
+  std::vector<std::vector<BlockPos>> digits(levels, std::vector<BlockPos>(n));
+  std::vector<u8> row_digits(levels);
+  for (usize i = 0; i < n; ++i) {
+    if (i == 0 || entries[i].row != entries[i - 1].row) {
+      Index row = entries[i].row;
+      for (u32 k = 0; k < levels; ++k, row /= section) {
+        row_digits[k] = static_cast<u8>(row % section);
+      }
+    }
+    Index col = entries[i].col;
+    for (u32 k = 0; k < levels; ++k, col /= section) {
+      digits[k][i] = {row_digits[k], static_cast<u8>(col % section)};
+    }
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<CooEntry> entries;
-  entries.reserve(keyed.size());
-  for (const auto& [key, entry] : keyed) entries.push_back(entry);
 
-  // Recursive bottom-up construction over the sorted range.
-  struct Builder {
-    HismMatrix& hism;
-    const std::vector<CooEntry>& entries;
-    u32 section;
+  // Hierarchical order: most-significant digit pairs first, so every block
+  // at every level is a contiguous run, already in the requested storage
+  // order. The row-major input is that order within each level-0 block, so
+  // a stable LSD counting sort (histogram, prefix sum, scatter) over the
+  // level >= 1 digit pairs, lowest level first, finishes it. Keys are unique
+  // for canonical input, which makes the order — and the image — unique.
+  const bool col_first = high_order == HighLevelOrder::kColMajor;
+  const u32 buckets = section * section;
+  std::vector<u32> order(n);
+  for (usize i = 0; i < n; ++i) order[i] = static_cast<u32>(i);
+  std::vector<u32> scattered(n);
+  std::vector<u32> next(buckets + 1);
+  for (u32 k = 1; k < levels; ++k) {
+    const std::vector<BlockPos>& level_digits = digits[k];
+    const auto bucket = [&](u32 i) {
+      const BlockPos pos = level_digits[i];
+      return col_first ? pos.col * section + pos.row : pos.row * section + pos.col;
+    };
+    std::fill(next.begin(), next.end(), 0);
+    for (const u32 i : order) ++next[bucket(i) + 1];
+    // Every entry in one bucket: the pass would be the identity.
+    if (std::find(next.begin(), next.end(), static_cast<u32>(n)) != next.end()) continue;
+    for (u32 b = 0; b < buckets; ++b) next[b + 1] += next[b];
+    for (const u32 i : order) scattered[next[bucket(i)]++] = i;
+    order.swap(scattered);
+  }
+  std::vector<u32>().swap(scattered);  // freed before the block pools grow
 
-    // Builds the block covering entries [begin, end) at `level`; returns its
-    // id within the level's pool.
-    u32 build(usize begin, usize end, u32 level) {
+  // Bottom-up over the ordered runs. `members` lists, in order, what level k
+  // groups into blocks — entries at level 0, then the level k-1 blocks, each
+  // represented by its first entry (whose digits above k-1 are the block's).
+  // Pools therefore fill in hierarchical order, so the child of member m at
+  // level k >= 1 is block m of level k-1.
+  const auto same_parent = [&](u32 a, u32 b, u32 level) {
+    for (u32 k = level + 1; k < levels; ++k) {
+      if (!(digits[k][a] == digits[k][b])) return false;
+    }
+    return true;
+  };
+  std::vector<u32> members = std::move(order);
+  for (u32 level = 0; level < levels; ++level) {
+    const bool top = level + 1 == levels;
+    std::vector<BlockArray>& pool = hism.levels_[level];
+    std::vector<u32> parents;
+    for (usize begin = 0; begin < members.size() || (top && pool.empty());) {
+      usize end = top ? members.size() : begin + 1;
+      while (end < members.size() && same_parent(members[begin], members[end], level)) ++end;
       BlockArray block;
-      if (level == 0) {
-        block.pos.reserve(end - begin);
-        block.slot.reserve(end - begin);
-        for (usize i = begin; i < end; ++i) {
-          block.pos.push_back({static_cast<u8>(digit(entries[i].row, 0, section)),
-                               static_cast<u8>(digit(entries[i].col, 0, section))});
-          block.slot.push_back(std::bit_cast<u32>(entries[i].value));
-        }
-      } else {
-        usize i = begin;
-        while (i < end) {
-          const u32 r = digit(entries[i].row, level, section);
-          const u32 c = digit(entries[i].col, level, section);
-          usize j = i;
-          while (j < end && digit(entries[j].row, level, section) == r &&
-                 digit(entries[j].col, level, section) == c) {
-            ++j;
-          }
-          const u32 child = build(i, j, level - 1);
-          block.pos.push_back({static_cast<u8>(r), static_cast<u8>(c)});
-          block.slot.push_back(child);
+      block.pos.reserve(end - begin);
+      block.slot.reserve(end - begin);
+      if (level > 0) block.child_len.reserve(end - begin);
+      for (usize m = begin; m < end; ++m) {
+        block.pos.push_back(digits[level][members[m]]);
+        if (level == 0) {
+          block.slot.push_back(std::bit_cast<u32>(entries[members[m]].value));
+        } else {
+          block.slot.push_back(static_cast<u32>(m));
           // Length of the child block-array itself (its entry count), not of
           // the element range it covers — they differ above level 1.
-          block.child_len.push_back(static_cast<u32>(hism.levels_[level - 1][child].size()));
-          i = j;
+          block.child_len.push_back(static_cast<u32>(hism.levels_[level - 1][m].size()));
         }
       }
-      auto& pool = hism.levels_[level];
       pool.push_back(std::move(block));
-      return static_cast<u32>(pool.size() - 1);
+      if (!top) parents.push_back(members[begin]);
+      begin = end;
     }
-  };
-
-  Builder builder{hism, entries, section};
-  hism.root_id_ = builder.build(0, entries.size(), levels - 1);
+    members = std::move(parents);
+  }
+  hism.root_id_ = 0;
   return hism;
 }
 

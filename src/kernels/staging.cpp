@@ -5,7 +5,6 @@
 
 #include "support/assert.hpp"
 #include "support/telemetry.hpp"
-#include "vsim/sim_cache.hpp"
 
 namespace smtu::kernels {
 namespace {
@@ -27,21 +26,44 @@ std::shared_ptr<const std::vector<u8>> make_snapshot(Addr base,
   return snapshot;
 }
 
-// Content key for a COO matrix: dimensions plus a 128-bit hash over the
-// canonical entry stream.
-std::string coo_key(const Coo& coo, std::string_view layout, u64 salt) {
-  vsim::SimHash hash;
-  hash.update(layout);
-  hash.update_u64(salt);
-  hash.update_u64(coo.rows());
-  hash.update_u64(coo.cols());
-  hash.update_u64(coo.nnz());
-  for (const CooEntry& entry : coo.entries()) {
-    hash.update_u64(entry.row);
-    hash.update_u64(entry.col);
-    hash.update_u64(std::bit_cast<u32>(entry.value));
+// Two 64-bit multiply-xorshift lanes over whole words. In-process only, so
+// it is free to differ from the on-disk SimHash, which must stay stable.
+class WordDigest {
+ public:
+  void add(u64 word) {
+    lo_ = (lo_ ^ word) * 0x9e3779b97f4a7c15ULL;
+    lo_ ^= lo_ >> 29;
+    hi_ = (hi_ + word) * 0xc2b2ae3d27d4eb4fULL;
+    hi_ = std::rotl(hi_, 31);
   }
-  return hash.hex();
+
+  StageKey finish() const { return {splitmix(lo_ ^ std::rotl(hi_, 17)), splitmix(hi_ + lo_)}; }
+
+ private:
+  static u64 splitmix(u64 z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  u64 lo_ = 0x6a09e667f3bcc908ULL;
+  u64 hi_ = 0xbb67ae8584caa73bULL;
+};
+
+// Content key for a COO matrix: dimensions, the layout's salt (HiSM
+// section; 0 for CRS) and every entry's row, column and value bits.
+StageKey coo_key(const Coo& coo, u64 salt) {
+  WordDigest digest;
+  digest.add(salt);
+  digest.add(coo.rows());
+  digest.add(coo.cols());
+  digest.add(coo.nnz());
+  for (const CooEntry& entry : coo.entries()) {
+    digest.add(entry.row);
+    digest.add(entry.col);
+    digest.add(std::bit_cast<u32>(entry.value));
+  }
+  return digest.finish();
 }
 
 }  // namespace
@@ -70,51 +92,53 @@ MatrixStageCache& MatrixStageCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const HismStage> MatrixStageCache::hism(const Coo& coo, u32 section) {
-  telemetry::HostSpan span("cache.stage.lookup_us");
-  const std::string key = coo_key(coo, "hism", section);
+template <typename Stage, typename Build>
+std::shared_ptr<const Stage> MatrixStageCache::lookup(Entries<Stage>& entries,
+                                                      const StageKey& key, Build build) {
+  std::promise<std::shared_ptr<const Stage>> promise;
+  std::shared_future<std::shared_ptr<const Stage>> claimed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = hism_entries_.find(key);
-    if (it != hism_entries_.end()) {
+    const auto [it, inserted] = entries.try_emplace(key);
+    if (!inserted) {
       ++stats_.hits;
-      if (telemetry::enabled()) telemetry::counter("cache.stage.hits_total").add(1);
-      return it->second;
+      claimed = it->second;
+    } else {
+      ++stats_.misses;
+      it->second = promise.get_future().share();
     }
   }
-  // Build outside the lock (conversions are the expensive part); a racing
-  // duplicate builds twice and the first insert wins.
-  auto stage =
-      std::make_shared<const HismStage>(build_hism_stage(HismMatrix::from_coo(coo, section)));
-  if (telemetry::enabled()) {
-    telemetry::counter("cache.stage.misses_total").add(1);
-    telemetry::counter("cache.stage.bytes_total").add(stage->snapshot->size());
+  if (claimed.valid()) {
+    if (telemetry::enabled()) telemetry::counter("cache.stage.hits_total").add(1);
+    return claimed.get();  // waits while another thread builds this key
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  return hism_entries_.emplace(key, std::move(stage)).first->second;
+  // This lookup claimed the key: build outside the lock (conversions are the
+  // expensive part) and publish to every waiter.
+  try {
+    auto stage = std::make_shared<const Stage>(build());
+    if (telemetry::enabled()) {
+      telemetry::counter("cache.stage.misses_total").add(1);
+      telemetry::counter("cache.stage.bytes_total").add(stage->snapshot->size());
+    }
+    promise.set_value(stage);
+    return stage;
+  } catch (...) {
+    promise.set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries.erase(key);  // let a later lookup retry
+    throw;
+  }
+}
+
+std::shared_ptr<const HismStage> MatrixStageCache::hism(const Coo& coo, u32 section) {
+  telemetry::HostSpan span("cache.stage.lookup_us");
+  return lookup(hism_entries_, coo_key(coo, section),
+                [&] { return build_hism_stage(HismMatrix::from_coo(coo, section)); });
 }
 
 std::shared_ptr<const CrsStage> MatrixStageCache::crs(const Coo& coo) {
   telemetry::HostSpan span("cache.stage.lookup_us");
-  const std::string key = coo_key(coo, "crs", 0);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = crs_entries_.find(key);
-    if (it != crs_entries_.end()) {
-      ++stats_.hits;
-      if (telemetry::enabled()) telemetry::counter("cache.stage.hits_total").add(1);
-      return it->second;
-    }
-  }
-  auto stage = std::make_shared<const CrsStage>(build_crs_stage(Csr::from_coo(coo)));
-  if (telemetry::enabled()) {
-    telemetry::counter("cache.stage.misses_total").add(1);
-    telemetry::counter("cache.stage.bytes_total").add(stage->snapshot->size());
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  return crs_entries_.emplace(key, std::move(stage)).first->second;
+  return lookup(crs_entries_, coo_key(coo, 0), [&] { return build_crs_stage(Csr::from_coo(coo)); });
 }
 
 MatrixStageCache::Stats MatrixStageCache::stats() const {

@@ -12,9 +12,9 @@
 // per-machine staging path.
 #pragma once
 
+#include <future>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -44,11 +44,27 @@ struct CrsStage {
 HismStage build_hism_stage(HismMatrix hism);
 CrsStage build_crs_stage(Csr csr);
 
+// Process-local 128-bit content key of a staged matrix.
+struct StageKey {
+  u64 lo = 0;
+  u64 hi = 0;
+
+  friend bool operator==(const StageKey&, const StageKey&) = default;
+};
+
+struct StageKeyHash {
+  usize operator()(const StageKey& key) const { return static_cast<usize>(key.lo); }
+};
+
 // Process-wide cache from matrix content to its staged image. Thread-safe;
-// keyed by dimensions plus a content hash of the COO entries (and the
-// section size for HiSM, whose layout depends on it).
+// keyed by dimensions plus a content digest of the COO entries (and the
+// section size for HiSM, whose layout depends on it). Each key is built
+// once: the first lookup claims it and builds outside the lock, and racing
+// lookups of the same key wait for that build instead of repeating it.
 class MatrixStageCache {
  public:
+  // misses counts builds; hits counts lookups served by a finished or
+  // in-flight build.
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;
@@ -63,9 +79,16 @@ class MatrixStageCache {
   void clear();
 
  private:
+  template <typename Stage>
+  using Entries =
+      std::unordered_map<StageKey, std::shared_future<std::shared_ptr<const Stage>>, StageKeyHash>;
+
+  template <typename Stage, typename Build>
+  std::shared_ptr<const Stage> lookup(Entries<Stage>& entries, const StageKey& key, Build build);
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const HismStage>> hism_entries_;
-  std::unordered_map<std::string, std::shared_ptr<const CrsStage>> crs_entries_;
+  Entries<HismStage> hism_entries_;
+  Entries<CrsStage> crs_entries_;
   Stats stats_;
 };
 

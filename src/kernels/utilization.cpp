@@ -11,17 +11,14 @@ namespace {
 // scanned in order, one cycle minimum even when empty, exactly as
 // StmUnit::freeze_drain_schedule charges it. Returns the cumulative cycle
 // at which the last entry moves (= BlockResult::read_cycles).
-u32 grouped_drain_cycles(std::span<const u8> lines, const StmConfig& config) {
+u32 grouped_drain_cycles(std::span<const LineRun> runs, const StmConfig& config) {
   u32 cumulative = 0;
-  usize idx = 0;
+  usize k = 0;
   for (u32 group = 0; group < config.section; group += config.lines) {
-    usize count = 0;
-    while (idx + count < lines.size() && lines[idx + count] < group + config.lines) {
-      ++count;
-    }
+    u32 count = 0;
+    while (k < runs.size() && runs[k].line < group + config.lines) count += runs[k++].count;
     cumulative += std::max<u32>(1, static_cast<u32>(ceil_div(count, config.bandwidth)));
-    idx += count;
-    if (idx == lines.size()) break;
+    if (k == runs.size()) break;
   }
   return cumulative;
 }
@@ -31,25 +28,26 @@ u32 grouped_drain_cycles(std::span<const u8> lines, const StmConfig& config) {
 StmTraceSet stm_block_traces(const HismMatrix& hism) {
   StmTraceSet traces;
   traces.section = hism.section();
+  std::vector<u32> per_col(hism.section());
   for (u32 level = 0; level < hism.num_levels(); ++level) {
     for (const BlockArray& block : hism.level(level)) {
       if (block.size() == 0) continue;
       StmBlockTrace trace;
+      trace.entries = static_cast<u32>(block.size());
       trace.passes = level > 0 ? 2 : 1;
-      trace.fill_lines.reserve(block.size());
-      // Drain order = the transpose read out row-major, i.e. the stored
-      // positions sorted by (col, row); positions are unique within a
-      // block, so the packed u16 key gives exactly that order.
-      std::vector<u16> drain_order;
-      drain_order.reserve(block.size());
-      for (usize i = 0; i < block.size(); ++i) {
-        trace.fill_lines.push_back(block.pos[i].row);
-        drain_order.push_back(
-            static_cast<u16>((static_cast<u16>(block.pos[i].col) << 8) | block.pos[i].row));
+      std::fill(per_col.begin(), per_col.end(), 0u);
+      for (const BlockPos& pos : block.pos) {
+        if (trace.fill.empty() || trace.fill.back().line != pos.row) {
+          trace.fill.push_back({0, pos.row});
+        }
+        ++trace.fill.back().count;
+        ++per_col[pos.col];
       }
-      std::sort(drain_order.begin(), drain_order.end());
-      trace.drain_lines.reserve(drain_order.size());
-      for (const u16 key : drain_order) trace.drain_lines.push_back(static_cast<u8>(key >> 8));
+      // Drain order = the transpose read out row-major: the stored
+      // positions by column, so one run per occupied column, in order.
+      for (u32 col = 0; col < per_col.size(); ++col) {
+        if (per_col[col] != 0) trace.drain.push_back({per_col[col], static_cast<u8>(col)});
+      }
       traces.blocks.push_back(std::move(trace));
     }
   }
@@ -62,14 +60,13 @@ UtilizationBreakdown stm_utilization(const StmTraceSet& traces, const StmConfig&
 
   UtilizationBreakdown breakdown;
   for (const StmBlockTrace& block : traces.blocks) {
-    const u32 fill = stream_cycles(block.fill_lines, stm_config);
-    const u32 drain = stm_config.skip_empty_lines
-                          ? stream_cycles(block.drain_lines, stm_config)
-                          : grouped_drain_cycles(block.drain_lines, stm_config);
+    const u32 fill = stream_cycles(block.fill, stm_config);
+    const u32 drain = stm_config.skip_empty_lines ? stream_cycles(block.drain, stm_config)
+                                                  : grouped_drain_cycles(block.drain, stm_config);
     const u64 pass_cycles = static_cast<u64>(fill) + drain +
                             stm_config.fill_pipeline_cycles +
                             stm_config.drain_pipeline_cycles;
-    breakdown.transfers += static_cast<u64>(block.passes) * 2 * block.fill_lines.size();
+    breakdown.transfers += static_cast<u64>(block.passes) * 2 * block.entries;
     breakdown.cycles += block.passes * pass_cycles;
     breakdown.block_passes += block.passes;
   }

@@ -24,11 +24,13 @@ struct UtilizationBreakdown {
 // timing model needs: payloads never affect cycles, and the lengths pass of
 // a higher-level block touches the same positions as its elements pass.
 // Extracting them once lets a (B, L) sweep reuse one trace per block
-// instead of re-running the functional unit per configuration.
+// instead of re-running the functional unit per configuration. Both are
+// run-length encoded, so a sweep point costs O(runs), not O(entries).
 struct StmBlockTrace {
-  std::vector<u8> fill_lines;   // storage-order rows (the fill stream)
-  std::vector<u8> drain_lines;  // rows of the transposed drain order
-  u32 passes = 1;               // 1 for level-0 blocks, 2 above (lengths + elements)
+  std::vector<LineRun> fill;   // storage-order rows (the fill stream)
+  std::vector<LineRun> drain;  // rows of the transposed drain order
+  u32 entries = 0;
+  u32 passes = 1;              // 1 for level-0 blocks, 2 above (lengths + elements)
 };
 
 struct StmTraceSet {

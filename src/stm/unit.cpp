@@ -75,9 +75,47 @@ void sort_drain_order(std::vector<StmEntry>& entries, std::vector<StmEntry>& scr
 
 }  // namespace
 
-u32 stream_cycles(std::span<const u8> lines, const StmConfig& config) {
-  return stream_pass(lines.size(), [&](usize i) { return lines[i]; }, config,
-                     [](usize, u32) {});
+u32 stream_cycles(std::span<const LineRun> runs, const StmConfig& config) {
+  // stream_pass's greedy rule, a run at a time: a cycle starting inside a
+  // run takes B entries of its line while at least B are left, and a
+  // partial cycle continues into the following runs while it has room and
+  // their lines fit the window.
+  u32 cycles = 0;
+  usize k = 0;
+  u32 left = runs.empty() ? 0 : runs[0].count;  // entries of run k not yet moved
+  const auto next_run = [&] { left = ++k < runs.size() ? runs[k].count : 0; };
+  while (k < runs.size()) {
+    cycles += left / config.bandwidth;
+    left %= config.bandwidth;
+    if (left == 0) {
+      next_run();
+      continue;
+    }
+    ++cycles;
+    const u32 anchor = runs[k].line;
+    u32 last = anchor;
+    u32 taken = left;
+    u32 distinct = 1;
+    next_run();
+    while (k < runs.size() && taken < config.bandwidth) {
+      const u32 line = runs[k].line;
+      if (config.strict_consecutive_lines &&
+          (line < anchor || line >= anchor + config.lines)) {
+        break;
+      }
+      if (line != last) {
+        if (distinct == config.lines) break;
+        ++distinct;
+        last = line;
+      }
+      const u32 take = std::min(left, config.bandwidth - taken);
+      taken += take;
+      left -= take;
+      if (left > 0) break;  // full; the next cycle starts inside run k
+      next_run();
+    }
+  }
+  return cycles;
 }
 
 StmUnit::StmUnit(const StmConfig& config) : config_(config) {

@@ -153,9 +153,16 @@ class StmUnit {
   std::vector<StmEntry> sort_scratch_;
 };
 
-// Shared cycle engine: number of I/O-buffer cycles needed to stream entries
-// whose line ids are `lines` (row ids when filling, column ids when
-// draining), under bandwidth B and the L-consecutive-lines rule.
-u32 stream_cycles(std::span<const u8> lines, const StmConfig& config);
+// `count` (>= 1) consecutive stream entries on one line.
+struct LineRun {
+  u32 count = 1;
+  u8 line = 0;
+};
+
+// Number of I/O-buffer cycles needed to stream entries whose line ids (row
+// ids when filling, column ids when draining) are run-length encoded as
+// `runs`, under bandwidth B and the L-consecutive-lines rule — the cycle
+// count StmUnit charges the same stream, at O(runs) instead of O(entries).
+u32 stream_cycles(std::span<const LineRun> runs, const StmConfig& config);
 
 }  // namespace smtu

@@ -22,6 +22,10 @@
 #include "formats/coo.hpp"
 #include "suite/metrics.hpp"
 
+namespace smtu {
+class ThreadPool;
+}
+
 namespace smtu::suite {
 
 inline constexpr const char* kSetLocality = "locality";
@@ -48,6 +52,13 @@ std::vector<SuiteMatrix> build_dsab_suite(const SuiteOptions& options = {});
 
 // A single criterion set of 10.
 std::vector<SuiteMatrix> build_dsab_set(const std::string& set,
+                                        const SuiteOptions& options = {});
+
+// The same, generated on `pool` (largest matrix first). Every slot has its
+// own Rng stream, so the result is identical for every pool size; the
+// overloads above use a 1-job pool, which runs inline.
+std::vector<SuiteMatrix> build_dsab_suite(ThreadPool& pool, const SuiteOptions& options = {});
+std::vector<SuiteMatrix> build_dsab_set(ThreadPool& pool, const std::string& set,
                                         const SuiteOptions& options = {});
 
 }  // namespace smtu::suite

@@ -43,6 +43,7 @@ Coo gen_banded_rows(Index n, u32 per_row, u32 spread, Rng& rng) {
   SMTU_CHECK_MSG(per_row >= 1, "per_row must be positive");
   SMTU_CHECK_MSG(2ull * spread + 1 >= per_row, "window too narrow for per_row columns");
   Coo coo(n, n);
+  coo.entries().reserve(n * per_row);
   for (Index i = 0; i < n; ++i) {
     const Index lo = i > spread ? i - spread : 0;
     const Index hi = std::min<Index>(n - 1, i + spread);

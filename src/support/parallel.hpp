@@ -14,9 +14,11 @@
 //    rethrows the first failure (in item order) after every task finished.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -123,31 +125,48 @@ class ThreadPool {
 // Applies `fn` to every element of `items` across the pool and returns the
 // results in item order, making downstream reductions deterministic
 // regardless of how tasks interleave. `fn` is invoked concurrently and must
-// be safe to call from several threads at once. If any invocation throws,
-// the first exception (in item order) is rethrown after all tasks finished.
-template <typename T, typename F>
-auto parallel_map(ThreadPool& pool, const std::vector<T>& items, F fn)
-    -> std::vector<std::invoke_result_t<F&, const T&>> {
+// be safe to call from several threads at once; it may return void. If any
+// invocation throws, the first exception (in item order) is rethrown after
+// all tasks finished.
+//
+// With a `cost` (item -> number), tasks are submitted largest first, ties in
+// item order, so the longest ones start early instead of setting the tail.
+// Only the schedule changes: results still come back in item order.
+template <typename T, typename F, typename Cost = std::nullptr_t>
+auto parallel_map(ThreadPool& pool, const std::vector<T>& items, F fn, Cost cost = nullptr)
+    -> std::conditional_t<std::is_void_v<std::invoke_result_t<F&, const T&>>, void,
+                          std::vector<std::invoke_result_t<F&, const T&>>> {
   using R = std::invoke_result_t<F&, const T&>;
-  static_assert(!std::is_void_v<R>, "parallel_map requires a value-returning fn");
-  std::vector<std::future<R>> futures;
-  futures.reserve(items.size());
-  for (const T& item : items) {
-    futures.push_back(pool.submit([&fn, &item] { return fn(item); }));
+  std::vector<usize> order(items.size());
+  for (usize i = 0; i < order.size(); ++i) order[i] = i;
+  if constexpr (!std::is_null_pointer_v<Cost>) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](usize a, usize b) { return cost(items[a]) > cost(items[b]); });
+  }
+  std::vector<std::future<R>> futures(items.size());
+  for (const usize i : order) {
+    futures[i] = pool.submit([&fn, &item = items[i]] { return fn(item); });
   }
   for (auto& future : futures) pool.wait_helping(future);
-  std::vector<R> results;
-  results.reserve(items.size());
   std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      results.push_back(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  const auto collect = [&](auto&& get) {
+    for (auto& future : futures) {
+      try {
+        get(future);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
     }
+    if (first_error) std::rethrow_exception(first_error);
+  };
+  if constexpr (std::is_void_v<R>) {
+    collect([](std::future<R>& future) { future.get(); });
+  } else {
+    std::vector<R> results;
+    results.reserve(items.size());
+    collect([&](std::future<R>& future) { results.push_back(future.get()); });
+    return results;
   }
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
 }
 
 }  // namespace smtu

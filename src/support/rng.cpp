@@ -1,7 +1,7 @@
 #include "support/rng.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 namespace smtu {
 
@@ -18,14 +18,26 @@ std::vector<u64> Rng::sample_without_replacement(u64 population, u64 count) {
     shuffle(all);
     chosen.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count));
   } else {
-    // Floyd's algorithm: O(count) expected draws.
-    std::unordered_set<u64> seen;
-    seen.reserve(count * 2);
+    // Floyd's algorithm: O(count) expected draws. Only membership matters
+    // (the sample is sorted below), so a flat open-addressing table stands
+    // in for a node-based set; values are < population, so ~0 marks empty.
+    constexpr u64 kEmpty = ~u64{0};
+    const u64 slots = std::bit_ceil(count * 2);
+    std::vector<u64> table(slots, kEmpty);
+    const auto insert = [&](u64 value) {
+      for (u64 slot = (value * 0x9e3779b97f4a7c15ULL) & (slots - 1);;
+           slot = (slot + 1) & (slots - 1)) {
+        if (table[slot] == value) return false;
+        if (table[slot] == kEmpty) {
+          table[slot] = value;
+          chosen.push_back(value);
+          return true;
+        }
+      }
+    };
     for (u64 j = population - count; j < population; ++j) {
-      const u64 candidate = below(j + 1);
-      if (!seen.insert(candidate).second) seen.insert(j);
+      if (!insert(below(j + 1))) insert(j);
     }
-    chosen.assign(seen.begin(), seen.end());
   }
   std::sort(chosen.begin(), chosen.end());
   return chosen;

@@ -58,6 +58,35 @@ TEST(ParallelMap, PreservesItemOrder) {
   }
 }
 
+TEST(ParallelMap, CostDispatchesLargestFirstAndKeepsItemOrder) {
+  // The serial pool runs tasks at submission, exposing the dispatch order.
+  ThreadPool pool(1);
+  const std::vector<int> items = {3, 1, 4, 1, 5, 9, 2, 6};
+  std::vector<usize> ran;
+  const auto results = parallel_map(
+      pool, items,
+      [&](const int& x) {
+        ran.push_back(static_cast<usize>(&x - items.data()));
+        return 10 * x;
+      },
+      [](const int& x) { return x; });
+  // Descending cost; the two 1s keep their item order.
+  EXPECT_EQ(ran, (std::vector<usize>{5, 7, 4, 2, 0, 6, 1, 3}));
+  ASSERT_EQ(results.size(), items.size());
+  for (usize i = 0; i < items.size(); ++i) EXPECT_EQ(results[i], 10 * items[i]);
+}
+
+TEST(ParallelMap, VoidTasksRunEveryItem) {
+  ThreadPool pool(4);
+  std::vector<int> items(100);
+  std::iota(items.begin(), items.end(), 0);
+  std::vector<int> out(items.size(), -1);
+  parallel_map(
+      pool, items, [&](const int& x) { out[static_cast<usize>(x)] = 2 * x; },
+      [](const int& x) { return x % 7; });
+  for (usize i = 0; i < items.size(); ++i) EXPECT_EQ(out[i], 2 * items[i]);
+}
+
 TEST(ParallelMap, PropagatesFirstExceptionAfterAllTasksFinish) {
   ThreadPool pool(4);
   std::vector<int> items(64);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "kernels/hism_transpose.hpp"
 #include "kernels/staging.hpp"
 #include "support/json.hpp"
+#include "testing.hpp"
 #include "vsim/json_export.hpp"
 #include "vsim/memory.hpp"
 #include "vsim/program_cache.hpp"
@@ -226,6 +228,61 @@ TEST(MatrixStageCache, SharesOneStagePerMatrix) {
   // A different section stages a different image.
   EXPECT_NE(first.get(), cache.hism(coo, 32).get());
   EXPECT_EQ(cache.crs(coo).get(), cache.crs(coo).get());
+}
+
+TEST(MatrixStageCache, KeyChangesWithAnyInputBit) {
+  auto& cache = kernels::MatrixStageCache::instance();
+  cache.clear();
+  const Coo base = Coo(8, 12, {{0, 1, 1.0f}, {2, 3, 2.0f}, {5, 7, 3.0f}});
+  const auto staged = cache.hism(base, 64);
+  ASSERT_EQ(cache.stats().misses, 1u);
+
+  // An equal matrix at another address is the same content: a hit.
+  const Coo copy = base;
+  ASSERT_NE(copy.entries().data(), base.entries().data());
+  EXPECT_EQ(cache.hism(copy, 64).get(), staged.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  Coo flipped = base;
+  flipped.entries()[1].value = std::bit_cast<float>(std::bit_cast<u32>(2.0f) ^ 1u);
+  Coo moved = base;
+  moved.entries()[1].col = 4;
+  // Same entries, rows and columns swapped in the shape only.
+  const Coo reshaped = Coo(12, 8, base.entries());
+  u64 misses = 1;
+  for (const Coo& variant : {flipped, moved, reshaped}) {
+    EXPECT_NE(cache.hism(variant, 64).get(), staged.get());
+    EXPECT_EQ(cache.stats().misses, ++misses);
+  }
+  EXPECT_NE(cache.hism(base, 32).get(), staged.get());  // another section
+  EXPECT_EQ(cache.stats().misses, ++misses);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(MatrixStageCache, RacingLookupsOfOneColdKeyBuildOnce) {
+  auto& cache = kernels::MatrixStageCache::instance();
+  cache.clear();
+  Rng rng(11);
+  const Coo coo = testing::random_coo(3000, 3000, 60000, rng);
+  constexpr usize kThreads = 8;
+  for (const bool hism : {true, false}) {
+    std::atomic<bool> go{false};
+    std::vector<const void*> stages(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (usize t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        stages[t] = hism ? static_cast<const void*>(cache.hism(coo, 64).get())
+                         : static_cast<const void*>(cache.crs(coo).get());
+      });
+    }
+    go = true;
+    for (std::thread& thread : threads) thread.join();
+    for (const void* stage : stages) EXPECT_EQ(stage, stages.front());
+  }
+  // One build per layout; every other lookup waited for it or found it.
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 2 * kThreads - 2);
 }
 
 TEST(StagedKernels, MatchUnstagedBitForBit) {

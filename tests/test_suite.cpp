@@ -3,6 +3,7 @@
 #include "suite/dsab.hpp"
 #include "suite/generators.hpp"
 #include "suite/metrics.hpp"
+#include "support/parallel.hpp"
 #include "testing.hpp"
 
 namespace smtu::suite {
@@ -28,6 +29,17 @@ TEST(Metrics, EmptyMatrix) {
   const MatrixMetrics m = compute_metrics(Coo(10, 10));
   EXPECT_EQ(m.nnz, 0u);
   EXPECT_DOUBLE_EQ(m.locality, 0.0);
+}
+
+TEST(Metrics, UnsortedInputCountsTheSameBlocks) {
+  Rng rng(7);
+  const Coo sorted = gen_block_clusters(1024, 30, 40, rng);
+  Coo shuffled = sorted;
+  rng.shuffle(shuffled.entries());
+  const MatrixMetrics a = compute_metrics(sorted);
+  const MatrixMetrics b = compute_metrics(shuffled);
+  EXPECT_EQ(a.locality, b.locality);
+  EXPECT_DOUBLE_EQ(a.locality, 40 / 32.0);
 }
 
 TEST(Generators, BlockClustersDialLocalityExactly) {
@@ -151,6 +163,36 @@ TEST(Dsab, DeterministicAcrossCalls) {
   const auto b = build_dsab_set(kSetAnz, {.scale = 0.05});
   for (usize i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(structurally_equal(a[i].matrix, b[i].matrix));
+  }
+}
+
+TEST(ParallelSuite, MatchesInlineBuildEntryForEntry) {
+  const SuiteOptions options{.scale = 0.05};
+  const auto inline_suite = build_dsab_suite(options);
+  ThreadPool pool(4);
+  const auto pooled = build_dsab_suite(pool, options);
+  ASSERT_EQ(pooled.size(), inline_suite.size());
+  for (usize i = 0; i < pooled.size(); ++i) {
+    SCOPED_TRACE(inline_suite[i].name);
+    EXPECT_EQ(pooled[i].name, inline_suite[i].name);
+    EXPECT_EQ(pooled[i].set, inline_suite[i].set);
+    EXPECT_EQ(pooled[i].index, inline_suite[i].index);
+    EXPECT_EQ(pooled[i].matrix.rows(), inline_suite[i].matrix.rows());
+    EXPECT_EQ(pooled[i].matrix.cols(), inline_suite[i].matrix.cols());
+    EXPECT_EQ(pooled[i].matrix.entries(), inline_suite[i].matrix.entries());
+    const MatrixMetrics& a = pooled[i].metrics;
+    const MatrixMetrics& b = inline_suite[i].metrics;
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.cols, b.cols);
+    EXPECT_EQ(a.nnz, b.nnz);
+    EXPECT_EQ(a.locality, b.locality);
+    EXPECT_EQ(a.avg_nnz_per_row, b.avg_nnz_per_row);
+  }
+  // One set on the pool is the same slice of the suite.
+  const auto anz = build_dsab_set(pool, kSetAnz, options);
+  ASSERT_EQ(anz.size(), 10u);
+  for (usize i = 0; i < anz.size(); ++i) {
+    EXPECT_EQ(anz[i].matrix.entries(), inline_suite[10 + i].matrix.entries());
   }
 }
 

@@ -19,6 +19,37 @@ StmConfig stm_config(u32 bandwidth, u32 lines) {
   return config;
 }
 
+TEST(Utilization, RunLengthStreamMatchesUnitCycles) {
+  // stream_cycles over runs must charge exactly what StmUnit charges the
+  // same stream entry by entry, for ordered and unordered line sequences.
+  Rng rng(12);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<StmEntry> entries;
+    for (const u64 cell : rng.sample_without_replacement(16 * 16, rng.below(120) + 1)) {
+      entries.push_back({static_cast<u8>(cell / 16), static_cast<u8>(cell % 16), 1});
+    }
+    if (trial % 2 == 1) rng.shuffle(entries);
+    std::vector<LineRun> runs;
+    for (const StmEntry& e : entries) {
+      if (runs.empty() || runs.back().line != e.row) runs.push_back({0, e.row});
+      ++runs.back().count;
+    }
+    for (const bool strict : {true, false}) {
+      for (const u32 bandwidth : {1u, 2u, 3u, 4u, 8u}) {
+        for (const u32 lines : {1u, 2u, 4u, 8u}) {
+          StmConfig config = stm_config(bandwidth, lines);
+          config.section = 16;
+          config.strict_consecutive_lines = strict;
+          StmUnit unit(config);
+          EXPECT_EQ(stream_cycles(runs, config), unit.write_batch(entries))
+              << "trial " << trial << " B=" << bandwidth << " L=" << lines
+              << " strict=" << strict;
+        }
+      }
+    }
+  }
+}
+
 TEST(Utilization, DenseSingleBlockNearOneAtBandwidthOne) {
   // A full 16x16 block at B = 1: 2*256 transfers over 2*256 + 6 cycles.
   Coo coo(16, 16);
