@@ -4,8 +4,8 @@
 // (how fast experiments run), not simulated cycle counts.
 //
 // Custom main: besides the usual google-benchmark flags, --interp-json=FILE
-// writes per-dispatch-mode interpreter throughput records (simulated
-// insts/sec and cycles/sec per kernel class) into a host-timing JSON
+// writes interpreter throughput records (simulated insts/sec and
+// cycles/sec per kernel class) into a host-timing JSON
 // document whose keys bench_diff.py never gates on (the "host" section and
 // *_per_sec / wall_ms fragments are host-speed measurements, not simulated
 // metrics).
@@ -181,9 +181,8 @@ void BM_InterpretHismTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpretHismTranspose)->Arg(10000)->Arg(50000);
 
-// ---- per-dispatch-mode interpreter throughput -------------------------------
-// One pre-staged simulation per kernel class, timed under both the threaded
-// (default) and legacy switch interpreters. items/s is simulated
+// ---- interpreter throughput per kernel class --------------------------------
+// One pre-staged simulation per kernel class. items/s is simulated
 // instructions per host second; the cycles_per_sec counter is simulated
 // cycles per host second. The same runners feed the --interp-json records.
 
@@ -244,43 +243,28 @@ const std::vector<InterpCase>& interp_cases() {
   return cases;
 }
 
-InterpRun run_with_mode(const InterpCase& interp_case, vsim::DispatchMode mode) {
-  const vsim::DispatchMode saved = vsim::default_dispatch_mode();
-  vsim::set_default_dispatch_mode(mode);
-  const InterpRun run = interp_case.run();
-  vsim::set_default_dispatch_mode(saved);
-  return run;
-}
-
-constexpr vsim::DispatchMode kModes[] = {vsim::DispatchMode::kThreaded,
-                                         vsim::DispatchMode::kSwitch};
-
 }  // namespace
 
-void register_interp_mode_benches() {
+void register_interp_benches() {
   for (const InterpCase& interp_case : interp_cases()) {
-    for (const vsim::DispatchMode mode : kModes) {
-      const std::string name = std::string("BM_InterpretKernel/") + interp_case.name + "/" +
-                               vsim::dispatch_mode_name(mode);
-      benchmark::RegisterBenchmark(name.c_str(), [&interp_case,
-                                                  mode](benchmark::State& state) {
-        u64 instructions = 0;
-        u64 cycles = 0;
-        for (auto _ : state) {
-          const InterpRun run = run_with_mode(interp_case, mode);
-          instructions += run.instructions;
-          cycles += run.cycles;
-        }
-        state.SetItemsProcessed(static_cast<i64>(instructions));
-        state.counters["cycles_per_sec"] =
-            benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
-      });
-    }
+    const std::string name = std::string("BM_InterpretKernel/") + interp_case.name;
+    benchmark::RegisterBenchmark(name.c_str(), [&interp_case](benchmark::State& state) {
+      u64 instructions = 0;
+      u64 cycles = 0;
+      for (auto _ : state) {
+        const InterpRun run = interp_case.run();
+        instructions += run.instructions;
+        cycles += run.cycles;
+      }
+      state.SetItemsProcessed(static_cast<i64>(instructions));
+      state.counters["cycles_per_sec"] =
+          benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    });
   }
 }
 
-// Writes the "smtu-hostmicro-v1" document: every kernel class under every
-// dispatch mode, measured over at least 200 ms of wall time each.
+// Writes the "smtu-hostmicro-v1" document: every kernel class measured over
+// at least 200 ms of wall time.
 void write_interp_json(const std::string& path) {
   std::ofstream out(path);
   SMTU_CHECK_MSG(out.good(), "cannot open " + path);
@@ -293,36 +277,32 @@ void write_interp_json(const std::string& path) {
   json.key("dispatch");
   json.begin_array();
   for (const InterpCase& interp_case : interp_cases()) {
-    for (const vsim::DispatchMode mode : kModes) {
-      u64 instructions = 0;
-      u64 cycles = 0;
-      u64 runs = 0;
-      double wall_ms = 0;
-      const auto start = std::chrono::steady_clock::now();
-      do {
-        const InterpRun run = run_with_mode(interp_case, mode);
-        instructions += run.instructions;
-        cycles += run.cycles;
-        ++runs;
-        wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                            start)
-                      .count();
-      } while (wall_ms < 200.0);
-      json.begin_object();
-      json.key("name");
-      json.value(interp_case.name);
-      json.key("mode");
-      json.value(vsim::dispatch_mode_name(mode));
-      json.key("runs");
-      json.value(runs);
-      json.key("wall_ms");
-      json.value(wall_ms);
-      json.key("insts_per_sec");
-      json.value(static_cast<double>(instructions) * 1000.0 / wall_ms);
-      json.key("cycles_per_sec");
-      json.value(static_cast<double>(cycles) * 1000.0 / wall_ms);
-      json.end_object();
-    }
+    u64 instructions = 0;
+    u64 cycles = 0;
+    u64 runs = 0;
+    double wall_ms = 0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+      const InterpRun run = interp_case.run();
+      instructions += run.instructions;
+      cycles += run.cycles;
+      ++runs;
+      wall_ms =
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+              .count();
+    } while (wall_ms < 200.0);
+    json.begin_object();
+    json.key("name");
+    json.value(interp_case.name);
+    json.key("runs");
+    json.value(runs);
+    json.key("wall_ms");
+    json.value(wall_ms);
+    json.key("insts_per_sec");
+    json.value(static_cast<double>(instructions) * 1000.0 / wall_ms);
+    json.key("cycles_per_sec");
+    json.value(static_cast<double>(cycles) * 1000.0 / wall_ms);
+    json.end_object();
   }
   json.end_array();
   json.end_object();
@@ -352,7 +332,7 @@ int main(int argc, char** argv) {
   }
   argc = kept;
   if (telemetry_on) smtu::telemetry::set_enabled(true);
-  smtu::register_interp_mode_benches();
+  smtu::register_interp_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

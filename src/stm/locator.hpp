@@ -5,7 +5,8 @@
 // "0"-counters overflow, signalling the control logic to fetch the next line
 // from the s x s memory. We provide a behavioral model (simple scan) and a
 // structural model that mirrors the cascaded zero-counter circuit; tests
-// prove them equivalent, and the STM unit uses the behavioral one.
+// prove them equivalent. The RTL model (stm/rtl.hpp) drives the structural
+// one; the schedule engine in stm/unit.cpp never calls the locator.
 #pragma once
 
 #include <vector>

@@ -1,5 +1,6 @@
 #include "stm/rtl.hpp"
 
+#include "stm/locator.hpp"
 #include "support/assert.hpp"
 
 namespace smtu {
@@ -64,13 +65,17 @@ std::optional<StmRtl::Bundle> StmRtl::extract_next() {
       break;
     }
     ++distinct;
-    for (u32 row = 0; row < s && budget > 0; ++row) {
-      if (!grid_.occupied(row, col)) continue;
+    // The Non-zero Locator (Fig. 4) extracts the first `budget` ones from
+    // this column's indicator line; when fewer remain, its overflow output
+    // tells the control logic to continue with the next window line.
+    const LocatorResult located = locate_first_ones_circuit(grid_.col_indicators(col), budget);
+    for (const u32 row : located.positions) {
       bundle.items.push_back(
           {static_cast<u8>(col), static_cast<u8>(row), grid_.value_bits(row, col)});
+      // "The located non-zeros are set to zero" (§III).
       grid_.erase(row, col);
-      --budget;
     }
+    budget -= static_cast<u32>(located.positions.size());
   }
   extracted_ += bundle.items.size();
   return bundle;

@@ -1,10 +1,17 @@
 // Cycle-stepped, register-transfer-level model of the STM datapath of
 // Fig. 3. Where stm/unit.cpp computes phase durations with a schedule
-// engine (fast, used by the machine) and stm/microsim.cpp re-derives them
-// with per-cycle locator calls, this model steps the actual *pipeline*:
+// engine (fast, used by the machine), this model steps the actual
+// *pipeline*:
 //
 //   fill:   IO buffer -> Non-zero Locator scatter -> row-buffer commit
 //   drain:  column fetch/locate -> gather -> IO buffer out
+//
+// Each drain cycle presents a window of up to L columns (consecutive under
+// the strict rule, any L non-empty ones otherwise) to the structural
+// Non-zero Locator circuit of Fig. 4 (stm/locator.hpp), which picks up to B
+// rows from each column's indicator line. It is the test-only oracle of the
+// schedule engine: drain order and fill/drain cycle counts must agree
+// exactly across the (s, B, L, strict/relaxed, density) space.
 //
 // Three explicit stage registers per direction, so the paper's §IV-A claim
 // — "the write and read phases can be pipelined in three stages", giving

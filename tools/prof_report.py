@@ -27,9 +27,8 @@ roll-ups, and the top-N hottest source lines.
 
 ``--host=INTERP.json`` appends the host interpreter-throughput records of an
 smtu-hostmicro-v1 document (``bench/micro_host --interp-json``): per kernel
-class and dispatch mode, instructions/sec and simulated-cycles/sec of wall
-time, plus the threaded-over-switch speedup per kernel. These are host-machine
-speeds, not simulated metrics — bench_diff.py never gates on them. With a
+class, instructions/sec and simulated-cycles/sec of wall time. These are
+host-machine speeds, not simulated metrics — bench_diff.py never gates on them. With a
 PROFILE.json too, the records print after the simulated-cycle rollups; with
 ``--host`` alone (the CI invocation) only the throughput tables print.
 
@@ -222,10 +221,9 @@ def show_scaling(document, matrix, kernel, per_core, top):
 
 
 def show_host(document):
-    """Render the dispatch-throughput records of an smtu-hostmicro-v1
+    """Render the interpreter-throughput records of an smtu-hostmicro-v1
     document (bench/micro_host --interp-json). Host speed, not simulated
-    cycles: one row per (kernel class, dispatch mode), then the
-    threaded-over-switch speedup per kernel class."""
+    cycles: one row per kernel class."""
     records = None
     if isinstance(document, dict) and document.get("schema") == "smtu-hostmicro-v1":
         host = document.get("host")
@@ -240,28 +238,10 @@ def show_host(document):
 
     print("== host interpreter throughput (micro_host --interp-json; "
           "host speed, not simulated metrics) ==\n")
-    rows = []
-    by_kernel = {}
-    for record in records:
-        rows.append([record["name"], record["mode"],
-                     rate(record["insts_per_sec"]),
-                     rate(record["cycles_per_sec"]),
-                     str(record["runs"]), f"{record['wall_ms']:.0f}"])
-        by_kernel.setdefault(record["name"], {})[record["mode"]] = record
-    print_table(["kernel", "dispatch", "insts/s", "sim-cycles/s", "runs",
-                 "wall ms"], rows)
-
-    rows = []
-    for name, modes in by_kernel.items():
-        threaded = modes.get("threaded")
-        switch = modes.get("switch")
-        if threaded and switch and switch["insts_per_sec"]:
-            ratio = threaded["insts_per_sec"] / switch["insts_per_sec"]
-            rows.append([name, f"{ratio:.2f}x"])
-    if rows:
-        print("  threaded-dispatch speedup over the legacy switch "
-              "(HACKING.md \"Interpreter internals\"):")
-        print_table(["kernel", "threaded/switch"], rows)
+    rows = [[record["name"], rate(record["insts_per_sec"]),
+             rate(record["cycles_per_sec"]), str(record["runs"]),
+             f"{record['wall_ms']:.0f}"] for record in records]
+    print_table(["kernel", "insts/s", "sim-cycles/s", "runs", "wall ms"], rows)
 
 
 def extract_telemetry(document):
@@ -472,7 +452,7 @@ def main():
                            "table to each rollup")
     show.add_argument("--host", default=None, metavar="INTERP_JSON",
                       help="smtu-hostmicro-v1 file (micro_host --interp-json):"
-                           " print its dispatch-throughput records after the "
+                           " print its interpreter-throughput records after the "
                            "simulated-cycle rollups (or alone)")
     show.add_argument("--telemetry", default=None, metavar="TELEMETRY_JSON",
                       help="smtu-telemetry-v1 file (--telemetry-json on any "

@@ -118,10 +118,10 @@ class BenchDiffGating(unittest.TestCase):
         new = report(1000, 5.0, 10.0)
         new["host"] = {
             "dispatch": [
-                {"name": "hism_transpose", "mode": "threaded", "runs": 220,
-                 "wall_ms": 201.0, "insts_per_sec": 1.9e7, "cycles_per_sec": 1.6e8},
-                {"name": "hism_transpose", "mode": "switch", "runs": 60,
-                 "wall_ms": 204.0, "insts_per_sec": 2.7e6, "cycles_per_sec": 2.2e7},
+                {"name": "hism_transpose", "runs": 220, "wall_ms": 201.0,
+                 "insts_per_sec": 1.9e7, "cycles_per_sec": 1.6e8},
+                {"name": "sell_spmv", "runs": 150, "wall_ms": 204.0,
+                 "insts_per_sec": 1.2e7, "cycles_per_sec": 9.0e7},
             ],
         }
         code, out = run_diff(old, new, "--all")
