@@ -6,10 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 #include "formats/matrix_market.hpp"
 #include "hism/transpose.hpp"
@@ -60,17 +57,6 @@ TextTable sweep_average_table(const std::vector<suite::SuiteMatrix>& set,
   return table;
 }
 
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir) {
-  if (!dir) return nullptr;
-  static std::mutex mutex;
-  static std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>* caches =
-      new std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>();
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = (*caches)[*dir];
-  if (!slot) slot = std::make_unique<vsim::SimCache>(*dir);
-  return slot.get();
-}
-
 std::string render_profile_json(const vsim::PerfCounters& profile) {
   std::ostringstream out;
   JsonWriter json(out);
@@ -93,8 +79,6 @@ BenchOptions parse_options(CommandLine& cli) {
   if (!trace_json.empty()) options.trace_json_path = trace_json;
   options.verify = cli.get_flag("verify");
   options.profile = cli.get_flag("profile");
-  const std::string sim_cache = cli.get_string("sim-cache", "");
-  if (!sim_cache.empty()) options.sim_cache_dir = sim_cache;
   options.telemetry = cli.get_flag("telemetry");
   const std::string telemetry_json = cli.get_string("telemetry-json", "");
   if (!telemetry_json.empty()) {
@@ -126,68 +110,44 @@ void finish_telemetry(const BenchOptions& options) {
                telemetry::MetricsRegistry::instance().summary().c_str());
 }
 
-namespace {
-
-// Replays one simulation from the sim cache, or runs it and stores it. The
-// entry registers are a pure function of the staged image, so the (source,
-// config, snapshot) triple fully keys the simulation.
-template <typename Simulate>
-KernelRun cached_kernel_run(vsim::SimCache* sim_cache, std::string_view source,
-                            const vsim::MachineConfig& config, std::span<const u8> snapshot,
-                            bool verify, bool profile, Simulate simulate) {
-  KernelRun run;
-  std::string key;
-  if (sim_cache) {
-    key = vsim::sim_cache_key(source, config, snapshot, {});
-    if (const auto hit = sim_cache->lookup(key, verify, profile)) {
-      run.stats = hit->stats;
-      run.profile_json = hit->profile_json;
-      return run;
-    }
-  }
-  vsim::PerfCounters counters;
-  run.stats = simulate(profile ? &counters : nullptr);
-  if (profile) run.profile_json = render_profile_json(counters);
-  if (sim_cache) sim_cache->store(key, {run.stats, verify, run.profile_json});
-  return run;
-}
-
-}  // namespace
-
 KernelRun run_hism_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
-                          bool verify, bool profile, vsim::SimCache* sim_cache) {
+                          bool verify, bool profile) {
   const auto started = std::chrono::steady_clock::now();
   const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-  KernelRun run = cached_kernel_run(
-      sim_cache, kernels::hism_transpose_source(false), config, *stage->snapshot, verify,
-      profile, [&](vsim::PerfCounters* profiler) {
-        if (!verify) {
-          return kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false,
-                                              nullptr, profiler);
-        }
-        const auto result = kernels::run_hism_transpose(
-            *stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-        SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), entry.matrix.transposed()),
-                       "HiSM kernel produced a wrong transpose for " + entry.name);
-        return result.stats;
-      });
+  vsim::PerfCounters counters;
+  vsim::PerfCounters* profiler = profile ? &counters : nullptr;
+  KernelRun run;
+  if (verify) {
+    const auto result = kernels::run_hism_transpose(*stage, config, /*split_drain_registers=*/false,
+                                                    nullptr, profiler);
+    SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), entry.matrix.transposed()),
+                   "HiSM kernel produced a wrong transpose for " + entry.name);
+    run.stats = result.stats;
+  } else {
+    run.stats = kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false,
+                                             nullptr, profiler);
+  }
+  if (profile) run.profile_json = render_profile_json(counters);
   run.wall_ms = elapsed_ms(started);
   return run;
 }
 
 KernelRun run_crs_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
-                         bool verify, bool profile, vsim::SimCache* sim_cache) {
+                         bool verify, bool profile) {
   const auto started = std::chrono::steady_clock::now();
   const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-  KernelRun run = cached_kernel_run(
-      sim_cache, kernels::crs_transpose_source(config.section, {}), config, *stage->snapshot,
-      verify, profile, [&](vsim::PerfCounters* profiler) {
-        if (!verify) return kernels::time_crs_transpose(*stage, config, {}, profiler);
-        const auto result = kernels::run_crs_transpose(*stage, config, {}, profiler);
-        SMTU_CHECK_MSG(structurally_equal(result.transposed, entry.matrix.transposed()),
-                       "CRS kernel produced a wrong transpose for " + entry.name);
-        return result.stats;
-      });
+  vsim::PerfCounters counters;
+  vsim::PerfCounters* profiler = profile ? &counters : nullptr;
+  KernelRun run;
+  if (verify) {
+    const auto result = kernels::run_crs_transpose(*stage, config, {}, profiler);
+    SMTU_CHECK_MSG(structurally_equal(result.transposed, entry.matrix.transposed()),
+                   "CRS kernel produced a wrong transpose for " + entry.name);
+    run.stats = result.stats;
+  } else {
+    run.stats = kernels::time_crs_transpose(*stage, config, {}, profiler);
+  }
+  if (profile) run.profile_json = render_profile_json(counters);
   run.wall_ms = elapsed_ms(started);
   return run;
 }
@@ -220,9 +180,9 @@ TransposeComparison combine_transposes(const suite::SuiteMatrix& entry, bool pro
 
 TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
-                                       bool profile, vsim::SimCache* sim_cache) {
-  KernelRun hism = run_hism_kernel(entry, config, verify, profile, sim_cache);
-  KernelRun crs = run_crs_kernel(entry, config, verify, profile, sim_cache);
+                                       bool profile) {
+  KernelRun hism = run_hism_kernel(entry, config, verify, profile);
+  KernelRun crs = run_crs_kernel(entry, config, verify, profile);
   return combine_transposes(entry, profile, std::move(hism), std::move(crs));
 }
 
@@ -231,7 +191,6 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
                                           const BenchOptions& options,
                                           const std::string& metric_name,
                                           double (*metric)(const suite::MatrixMetrics&)) {
-  vsim::SimCache* sim_cache = sim_cache_for(options.sim_cache_dir);
   ThreadPool pool(options.jobs);
   return parallel_map(
       pool, set,
@@ -242,7 +201,7 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
             metric_name,
             metric ? metric(entry.metrics) : 0.0,
             entry.matrix.nnz(),
-            compare_transposes(entry, config, options.verify, options.profile, sim_cache)};
+            compare_transposes(entry, config, options.verify, options.profile)};
       },
       [](const suite::SuiteMatrix& entry) { return entry.matrix.nnz(); });
 }
@@ -328,7 +287,7 @@ int run_figure_bench(int argc, const char* const* argv, const FigureSeries& seri
     std::ofstream out(*options.json_path);
     SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open JSON output " + *options.json_path);
     write_bench_report_json(out, series.set, config, options.suite, records, harness,
-                            collect_host_counters(options.sim_cache_dir));
+                            collect_host_counters());
     std::fprintf(stderr, "wrote JSON report to %s\n", options.json_path->c_str());
   }
   if (options.trace_json_path) {
@@ -391,8 +350,7 @@ void write_matrix_records_json(JsonWriter& json, const std::vector<MatrixRecord>
     json.key("crs");
     vsim::write_run_stats_json(json, record.comparison.crs_stats);
     if (record.comparison.profiled) {
-      // Pre-rendered by render_profile_json (or replayed verbatim from the
-      // sim cache), so cached and live reports are byte-identical.
+      // Pre-rendered by render_profile_json.
       json.key("profile");
       json.begin_object();
       json.key("hism");
@@ -428,12 +386,8 @@ void write_harness_json(JsonWriter& json, const HarnessInfo& harness) {
   json.end_object();
 }
 
-HostCounters collect_host_counters(const std::optional<std::string>& sim_cache_dir) {
-  HostCounters host;
-  host.program_cache = vsim::ProgramCache::instance().stats();
-  host.stage_cache = kernels::MatrixStageCache::instance().stats();
-  if (vsim::SimCache* cache = sim_cache_for(sim_cache_dir)) host.sim_cache = cache->stats();
-  return host;
+HostCounters collect_host_counters() {
+  return {vsim::ProgramCache::instance().stats(), kernels::MatrixStageCache::instance().stats()};
 }
 
 void write_host_json(JsonWriter& json, const HostCounters& host) {
@@ -452,19 +406,6 @@ void write_host_json(JsonWriter& json, const HostCounters& host) {
   json.key("misses");
   json.value(host.stage_cache.misses);
   json.end_object();
-  json.key("sim_cache");
-  if (host.sim_cache) {
-    json.begin_object();
-    json.key("hits");
-    json.value(host.sim_cache->hits);
-    json.key("misses");
-    json.value(host.sim_cache->misses);
-    json.key("stores");
-    json.value(host.sim_cache->stores);
-    json.end_object();
-  } else {
-    json.null();
-  }
   json.end_object();
 }
 

@@ -17,11 +17,6 @@
 //   --verify           decode results from simulated memory and check them
 //   --profile          attach the cycle-attribution profiler; JSON reports
 //                      gain a per-matrix "profile" section (docs/PROFILING.md)
-//   --sim-cache=<dir>  content-addressed on-disk result cache: simulations
-//                      whose (program, config, image) triple was seen before
-//                      are skipped and their RunStats/profile replayed from
-//                      <dir> (see HACKING.md "Host performance"). Reports
-//                      stay bit-identical modulo wall_ms/host keys
 //   --telemetry        collect host telemetry (ThreadPool, caches, per-item
 //                      latency — docs/TELEMETRY.md); JSON reports gain a
 //                      "telemetry" section and a summary prints to stderr
@@ -50,7 +45,6 @@
 #include "vsim/machine.hpp"
 #include "vsim/profiler.hpp"
 #include "vsim/program_cache.hpp"
-#include "vsim/sim_cache.hpp"
 
 namespace smtu::bench {
 
@@ -65,20 +59,12 @@ struct BenchOptions {
   // comparison; the JSON reports gain a per-matrix "profile" section
   // (docs/PROFILING.md). Deterministic across -j values like the cycles.
   bool profile = false;
-  // --sim-cache: directory of the content-addressed result cache; nullopt
-  // disables it (every simulation runs).
-  std::optional<std::string> sim_cache_dir;
   // --telemetry / --telemetry-json: host-side metrics (docs/TELEMETRY.md).
   // parse_options flips the process-wide telemetry switch, so `telemetry`
   // mirrors smtu::telemetry::enabled() for the rest of the run.
   bool telemetry = false;
   std::optional<std::string> telemetry_json_path;
 };
-
-// The process-wide SimCache for `dir` (one instance per directory, so its
-// hit/miss counters aggregate across benches in one process). nullptr when
-// `dir` is empty.
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir);
 
 // Parses the standard flags; calls cli.finish() so unknown flags fail fast.
 // Side effect: enables process-wide telemetry when --telemetry /
@@ -104,15 +90,15 @@ struct TransposeComparison {
   vsim::RunStats hism_stats;
   vsim::RunStats crs_stats;
   // Populated only when profiling was requested (see BenchOptions::profile):
-  // the per-kernel profile sections pre-rendered as JSON text, so cached
-  // replays are byte-identical to live runs by construction.
+  // the per-kernel profile sections pre-rendered as JSON text, which the
+  // reports splice in verbatim.
   bool profiled = false;
   std::string hism_profile_json;
   std::string crs_profile_json;
 };
 
-// Renders vsim::write_profile_json to a string (the TransposeComparison /
-// SimCache profile payload format).
+// Renders vsim::write_profile_json to a string (the TransposeComparison
+// profile payload format).
 std::string render_profile_json(const vsim::PerfCounters& profile);
 
 // One kernel's half of a comparison: its run counters, its pre-rendered
@@ -125,14 +111,12 @@ struct KernelRun {
 };
 
 // The HiSM (STM) and CRS halves of compare_transposes, each runnable as its
-// own task. A non-null `sim_cache` is consulted before the simulation and
-// updated after: hits replay the stored RunStats/profile without running
-// the machine. With `verify`, a simulated transpose is decoded and checked
+// own task. With `verify`, a simulated transpose is decoded and checked
 // against the reference before its counters are used.
 KernelRun run_hism_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
-                          bool verify, bool profile, vsim::SimCache* sim_cache);
+                          bool verify, bool profile);
 KernelRun run_crs_kernel(const suite::SuiteMatrix& entry, const vsim::MachineConfig& config,
-                         bool verify, bool profile, vsim::SimCache* sim_cache);
+                         bool verify, bool profile);
 
 // Joins the two halves into a comparison (cycles per non-zero, speedup; the
 // wall time is the sum of both halves).
@@ -142,8 +126,7 @@ TransposeComparison combine_transposes(const suite::SuiteMatrix& entry, bool pro
 // Both halves, one after the other.
 TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
-                                       bool profile = false,
-                                       vsim::SimCache* sim_cache = nullptr);
+                                       bool profile = false);
 
 // Buffer-bandwidth utilization of the STM over every block-array of a HiSM
 // matrix, mimicking the kernel's pass structure (one pass per level-0 block,
@@ -238,9 +221,7 @@ struct MatrixRecord {
 // sized by options.jobs (largest matrix first), preserving set order in the
 // returned records. Each
 // task runs its own Machine against immutable shared stages, so cycle counts
-// are identical for every jobs value; only wall_ms differs. When
-// options.sim_cache_dir is set, results are replayed from / stored to the
-// on-disk cache.
+// are identical for every jobs value; only wall_ms differs.
 std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>& set,
                                           const vsim::MachineConfig& config,
                                           const BenchOptions& options,
@@ -273,14 +254,13 @@ void write_speedup_summary_json(JsonWriter& json, const SpeedupSummary& summary)
 // suite options, harness info, matrices, summary. This is what `--json=PATH`
 // writes for the comparison benches and what tools/bench_diff.py consumes.
 // Host-side cache counters for the "host" sub-object: how much work the
-// program / matrix-stage / simulation caches absorbed. Like wall_ms, the
+// program and matrix-stage caches absorbed. Like wall_ms, the
 // values depend on process history, so bench_diff.py skips the whole key.
 struct HostCounters {
   vsim::ProgramCache::Stats program_cache;
   kernels::MatrixStageCache::Stats stage_cache;
-  std::optional<vsim::SimCache::Stats> sim_cache;  // set only under --sim-cache
 };
-HostCounters collect_host_counters(const std::optional<std::string>& sim_cache_dir);
+HostCounters collect_host_counters();
 void write_host_json(JsonWriter& json, const HostCounters& host);
 
 void write_bench_report_json(std::ostream& out, const std::string& bench_name,

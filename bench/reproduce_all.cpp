@@ -7,11 +7,6 @@
 //
 //   ./reproduce_all [--out=REPORT.md] [--json=BENCH_repro.json]
 //                   [--scale=1.0] [--seed=...] [--profile] [--jobs=N]
-//                   [--sim-cache=DIR]
-//
-// --sim-cache replays previously seen simulations from the on-disk result
-// cache (bit-identical reports modulo the wall_ms/host keys; see HACKING.md
-// "Host performance").
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -179,7 +174,6 @@ int main(int argc, char** argv) {
   // index and every table, sum and JSON row below is assembled in suite
   // order: identical for every -j value.
   ThreadPool pool(options.jobs);
-  vsim::SimCache* sim_cache = bench::sim_cache_for(options.sim_cache_dir);
   std::fprintf(stderr, "suite ...\n");
   const auto suite_matrices = suite::build_dsab_suite(pool, options.suite);
 
@@ -199,13 +193,11 @@ int main(int argc, char** argv) {
         auto& stages = kernels::MatrixStageCache::instance();
         switch (task.part) {
           case Part::kHism:
-            result.hism = bench::run_hism_kernel(entry, config, options.verify, options.profile,
-                                                 sim_cache);
+            result.hism = bench::run_hism_kernel(entry, config, options.verify, options.profile);
             progress.simulated(entry.set);
             break;
           case Part::kCrs:
-            result.crs = bench::run_crs_kernel(entry, config, options.verify, options.profile,
-                                               sim_cache);
+            result.crs = bench::run_crs_kernel(entry, config, options.verify, options.profile);
             progress.simulated(entry.set);
             break;
           case Part::kFig10: {
@@ -361,7 +353,7 @@ int main(int argc, char** argv) {
     json.key("harness");
     bench::write_harness_json(json, harness);
     json.key("host");
-    bench::write_host_json(json, bench::collect_host_counters(options.sim_cache_dir));
+    bench::write_host_json(json, bench::collect_host_counters());
     if (telemetry::enabled()) {
       // Telemetry-only key, skipped wholesale by tools/bench_diff.py, so
       // telemetry-on and -off reports stay bit-identical at threshold 0.

@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
 
   serve::ServeOptions serve_options;
   serve_options.jobs = options.jobs;
-  serve_options.sim_cache_dir = options.sim_cache_dir;
   const auto started = std::chrono::steady_clock::now();
   const auto key_cycles = serve::simulate_keys(trace, serve_options);
   const double sim_wall_ms =

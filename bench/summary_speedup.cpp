@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::ofstream out(*options.json_path);
     SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open JSON output " + *options.json_path);
     bench::write_bench_report_json(out, "summary_speedup", config, options.suite, records,
-                                   harness, bench::collect_host_counters(options.sim_cache_dir));
+                                   harness, bench::collect_host_counters());
     std::fprintf(stderr, "wrote JSON report to %s\n", options.json_path->c_str());
   }
   if (options.trace_json_path) {

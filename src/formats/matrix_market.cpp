@@ -1,5 +1,6 @@
 #include "formats/matrix_market.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -106,9 +107,17 @@ Coo read_matrix_market(std::istream& in) {
   const auto cols = parse_uint(size_tokens[1]);
   const auto declared_nnz = parse_uint(size_tokens[2]);
   if (!rows || !cols || !declared_nnz) fail(line_number, "bad size line");
+  // No more entries than cells; compared by division so rows·cols cannot
+  // overflow.
+  if (*declared_nnz != 0 && (*rows == 0 || (*declared_nnz - 1) / *rows >= *cols)) {
+    fail(line_number, "declared nnz exceeds rows*cols");
+  }
 
   Coo coo(*rows, *cols);
-  coo.entries().reserve(*declared_nnz);
+  // The count is outside input: reserve at most a fixed bound up front and
+  // let a larger honest matrix grow as its entries arrive.
+  constexpr u64 kMaxReserve = u64{1} << 20;
+  coo.entries().reserve(std::min(*declared_nnz, kMaxReserve));
   usize seen = 0;
   while (seen < *declared_nnz) {
     if (!std::getline(in, line)) fail(line_number, "truncated entry data");

@@ -27,7 +27,7 @@ std::shared_ptr<const std::vector<u8>> make_snapshot(Addr base,
 }
 
 // Two 64-bit multiply-xorshift lanes over whole words. In-process only, so
-// it is free to differ from the on-disk SimHash, which must stay stable.
+// it is free to change from one build to the next.
 class WordDigest {
  public:
   void add(u64 word) {

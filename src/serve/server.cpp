@@ -5,7 +5,6 @@
 #include <deque>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <unordered_set>
 
@@ -16,7 +15,6 @@
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 #include "vsim/program_cache.hpp"
-#include "vsim/sim_cache.hpp"
 
 namespace smtu::serve {
 namespace {
@@ -267,41 +265,23 @@ class VirtualScheduler {
 // ---- host execution --------------------------------------------------------
 
 // One full simulation of `key` on this thread; returns its cycle count.
-// Stage and program lookups go through the process-wide caches, and a
-// non-null sim_cache replays previously seen runs (opt-in, like the benches).
+// Stage and program lookups go through the process-wide caches.
 u64 simulate_key(const SimKey& key, const Trace& trace,
-                 const std::vector<suite::SuiteMatrix>& set, vsim::SimCache* sim_cache) {
+                 const std::vector<suite::SuiteMatrix>& set) {
   static telemetry::LatencyHistogram& sim_wall = telemetry::histogram("serve.sim_wall_us");
   telemetry::HostSpan span("serve.sim_wall_us", sim_wall);
   const vsim::MachineConfig config = machine_config_for(trace.configs[key.config]);
   const suite::SuiteMatrix& entry = set[key.matrix];
   if (key.kernel == Kernel::kHism) {
     const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-    if (sim_cache) {
-      const std::string cache_key = vsim::sim_cache_key(
-          kernels::hism_transpose_source(false), config, *stage->snapshot, {});
-      if (const auto hit = sim_cache->lookup(cache_key, false, false)) return hit->stats.cycles;
-      const vsim::RunStats stats = kernels::time_hism_transpose(*stage, config);
-      sim_cache->store(cache_key, {stats, false, ""});
-      return stats.cycles;
-    }
     return kernels::time_hism_transpose(*stage, config).cycles;
   }
   const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-  if (sim_cache) {
-    const std::string cache_key = vsim::sim_cache_key(
-        kernels::crs_transpose_source(config.section, {}), config, *stage->snapshot, {});
-    if (const auto hit = sim_cache->lookup(cache_key, false, false)) return hit->stats.cycles;
-    const vsim::RunStats stats = kernels::time_crs_transpose(*stage, config);
-    sim_cache->store(cache_key, {stats, false, ""});
-    return stats.cycles;
-  }
   return kernels::time_crs_transpose(*stage, config).cycles;
 }
 
 std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
-    const Trace& trace, const std::vector<suite::SuiteMatrix>& set, vsim::SimCache* sim_cache,
-    const ServeOptions& options) {
+    const Trace& trace, const std::vector<suite::SuiteMatrix>& set, const ServeOptions& options) {
   // Distinct keys only, grouped by matrix (then kernel, then config) so
   // consecutive simulations share staged images and programs; the shared
   // result fans out to every duplicate request.
@@ -317,25 +297,12 @@ std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
   });
   ThreadPool pool(options.batching ? options.jobs : 1);
   const std::vector<u64> cycles = parallel_map(pool, keys, [&](const SimKey& key) {
-    return simulate_key(key, trace, set, sim_cache);
+    return simulate_key(key, trace, set);
   });
   std::unordered_map<SimKey, u64, SimKeyHash> key_cycles;
   key_cycles.reserve(keys.size());
   for (usize i = 0; i < keys.size(); ++i) key_cycles[keys[i]] = cycles[i];
   return key_cycles;
-}
-
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir) {
-  if (!dir) return nullptr;
-  // One instance per process per directory is enough here: the driver serves
-  // one trace per invocation.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>* caches =
-      new std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>();
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = (*caches)[*dir];
-  if (!slot) slot = std::make_unique<vsim::SimCache>(*dir);
-  return slot.get();
 }
 
 }  // namespace
@@ -391,14 +358,13 @@ std::unordered_map<SimKey, u64, SimKeyHash> simulate_keys(const Trace& trace,
   const auto set = suite::build_dsab_set(trace.set, trace.suite);
   SMTU_CHECK_MSG(set.size() == trace.matrix_count,
                  "trace matrix count does not match the regenerated suite set");
-  return simulate_distinct(trace, set, sim_cache_for(options.sim_cache_dir), options);
+  return simulate_distinct(trace, set, options);
 }
 
 ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
   const auto set = suite::build_dsab_set(trace.set, trace.suite);
   SMTU_CHECK_MSG(set.size() == trace.matrix_count,
                  "trace matrix count does not match the regenerated suite set");
-  vsim::SimCache* sim_cache = sim_cache_for(options.sim_cache_dir);
 
   ServeReport report;
   const auto started = std::chrono::steady_clock::now();
@@ -410,7 +376,7 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
 
   const auto sim_started = std::chrono::steady_clock::now();
   if (options.dedup) {
-    key_cycles = simulate_distinct(trace, set, sim_cache, options);
+    key_cycles = simulate_distinct(trace, set, options);
     report.host.simulations = key_cycles.size();
     if (telemetry::enabled()) {
       telemetry::counter("serve.dedup_coalesced_total")
@@ -423,7 +389,7 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
     ThreadPool pool(options.batching ? options.jobs : 1);
     const std::vector<u64> cycles =
         parallel_map(pool, trace.requests, [&](const Request& request) {
-          return simulate_key(key_of(request), trace, set, sim_cache);
+          return simulate_key(key_of(request), trace, set);
         });
     for (usize i = 0; i < trace.requests.size(); ++i) {
       key_cycles[key_of(trace.requests[i])] = cycles[i];

@@ -4,8 +4,8 @@
 //
 //  * The *host execution* layer actually simulates kernels. In batched mode
 //    it coalesces the trace's requests into their distinct (matrix, kernel,
-//    config) keys — grouped by matrix so ProgramCache / MatrixStageCache /
-//    SimCache reuse clusters — and fans the distinct simulations over the
+//    config) keys — grouped by matrix so ProgramCache / MatrixStageCache
+//    reuse clusters — and fans the distinct simulations over the
 //    ThreadPool; naive mode (--no-dedup --no-batching) runs one full
 //    simulation per request, serially, in arrival order. Wall-clock
 //    throughput (requests/sec) is measured here and is, like every host
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +45,6 @@ struct ServeOptions {
   u32 closed_loop = 0;
   // Host harness.
   u32 jobs = 0;  // ThreadPool width in batched mode (0 = hardware threads)
-  std::optional<std::string> sim_cache_dir;
 };
 
 // Per-request outcome of the virtual-time model.

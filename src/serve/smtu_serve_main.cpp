@@ -57,8 +57,6 @@ int serve_main(int argc, const char* const* argv) {
   const i64 jobs = cli.get_int("jobs", 0);
   SMTU_CHECK_MSG(jobs >= 0, "--jobs must be >= 0 (0 = all hardware threads)");
   options.jobs = static_cast<u32>(jobs);
-  const std::string sim_cache = cli.get_string("sim-cache", "");
-  if (!sim_cache.empty()) options.sim_cache_dir = sim_cache;
 
   const std::string json_out = cli.get_string("json", "");
   const bool telemetry_on = cli.get_flag("telemetry");

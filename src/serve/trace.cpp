@@ -128,8 +128,8 @@ Trace generate_trace(const GeneratorOptions& options) {
   trace.arrival = options.arrival;
   trace.matrix_count = static_cast<u32>(set.size());
   // Variant 0 is the paper's default machine; variant 1 a narrower STM
-  // (B=2, L=2). Distinct variants change the kernel source (strip-mining)
-  // and the timing, so they exercise the ProgramCache/SimCache keying.
+  // (B=2, L=2). Distinct variants change the timing, so they exercise the
+  // config part of the dedup key.
   trace.configs.push_back(ConfigSpec{});
   trace.configs.push_back(ConfigSpec{64, 2, 2});
 

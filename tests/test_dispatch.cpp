@@ -45,13 +45,13 @@
 #include "vsim/assembler.hpp"
 #include "vsim/machine.hpp"
 #include "vsim/profiler.hpp"
-#include "vsim/sim_cache.hpp"
 #include "vsim/system.hpp"
 
 namespace smtu {
 namespace {
 
 using testing::coo_equal;
+using testing::floats_bit_equal;
 using testing::random_coo;
 
 // ---- Record layout ---------------------------------------------------------
@@ -391,7 +391,7 @@ Record system_record(std::string name, const vsim::SystemRunStats& stats,
 }
 
 std::string coo_hash(const Coo& coo) {
-  vsim::SimHash hash;
+  testing::SimHash hash;
   hash.update_u64(coo.rows());
   hash.update_u64(coo.cols());
   hash.update_u64(coo.nnz());
@@ -404,24 +404,10 @@ std::string coo_hash(const Coo& coo) {
 }
 
 std::string floats_hash(const std::vector<float>& values) {
-  vsim::SimHash hash;
+  testing::SimHash hash;
   hash.update_u64(values.size());
   for (const float v : values) hash.update_u64(std::bit_cast<u32>(v));
   return hash.hex();
-}
-
-::testing::AssertionResult floats_bit_equal(const std::vector<float>& lhs,
-                                            const std::vector<float>& rhs) {
-  if (lhs.size() != rhs.size()) {
-    return ::testing::AssertionFailure() << "sizes " << lhs.size() << " vs " << rhs.size();
-  }
-  for (usize i = 0; i < lhs.size(); ++i) {
-    if (std::bit_cast<u32>(lhs[i]) != std::bit_cast<u32>(rhs[i])) {
-      return ::testing::AssertionFailure() << "first difference at " << i << ": " << lhs[i]
-                                           << " vs " << rhs[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 // ---- Inputs ----------------------------------------------------------------
@@ -479,7 +465,7 @@ TEST(InterpreterCorpus, HismTranspose) {
     EXPECT_TRUE(coo_equal(kernels::read_back_hism(machine, image, /*swap_dims=*/true).to_coo(),
                           input.coo.transposed()));
     Record record = machine_record("hism_transpose/" + input.name, stats, profiler);
-    vsim::SimHash hash;
+    testing::SimHash hash;
     hash.update(machine.memory().raw());
     record.hash = hash.hex();
     expect_matches_corpus(record);

@@ -198,7 +198,7 @@ TEST(Docs, TelemetryReferenceCoversMetricsSchemaAndTooling) {
        {"`_total`", "`_us`", "`_pct`", "`_peak`", "pool.tasks_total",
         "pool.task_wait_us", "pool.task_run_us", "pool.queue_depth_peak",
         "pool.worker_util_pct", "cache.program.", "cache.stage.",
-        "cache.sim.", "stage.build_us", "bench.item_wall_us",
+        "stage.build_us", "bench.item_wall_us",
         "vsim.assemble_us", "vsim.run_us"}) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/TELEMETRY.md does not mention " << needle;
@@ -301,7 +301,7 @@ TEST(Docs, ServingReferenceCoversSchemasSchedulerAndGating) {
         << "docs/SERVING.md does not mention " << needle;
   }
   // The host-side batching story names the caches it leans on.
-  for (const char* needle : {"ProgramCache", "MatrixStageCache", "SimCache"}) {
+  for (const char* needle : {"ProgramCache", "MatrixStageCache"}) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/SERVING.md does not mention " << needle;
   }

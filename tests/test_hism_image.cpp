@@ -8,7 +8,6 @@
 #include "kernels/layout.hpp"
 #include "suite/dsab.hpp"
 #include "testing.hpp"
-#include "vsim/sim_cache.hpp"
 
 namespace smtu {
 namespace {
@@ -117,7 +116,7 @@ struct GoldenCase {
 };
 
 std::string hism_image_hash(const HismImage& image) {
-  vsim::SimHash hash;
+  testing::SimHash hash;
   hash.update(image.bytes);
   for (const u64 field : {image.base, image.root_addr, static_cast<u64>(image.root_len),
                           static_cast<u64>(image.levels), static_cast<u64>(image.section),
@@ -128,7 +127,7 @@ std::string hism_image_hash(const HismImage& image) {
 }
 
 std::string crs_image_hash(const kernels::CrsImage& image, const std::vector<u8>& bytes) {
-  vsim::SimHash hash;
+  testing::SimHash hash;
   hash.update(bytes);
   for (const u64 field : {image.an, image.ja, image.ia, image.ant, image.jat, image.iat,
                           image.rows, image.cols, static_cast<u64>(image.nnz), image.end}) {

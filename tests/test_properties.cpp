@@ -2,14 +2,23 @@
 // (shape, density, section, B, L) combinations, every transpose
 // implementation — COO mirror, CSC relabeling, Pissanetsky on CSR, HiSM
 // software reference, and both simulated kernels — must agree, and STM
-// timing invariants must hold.
+// timing invariants must hold. On structured and pathological patterns
+// every simulated kernel class must match its host reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "formats/csc.hpp"
 #include "formats/csr.hpp"
+#include "formats/sell.hpp"
 #include "hism/transpose.hpp"
+#include "kernels/crs_parallel.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
+#include "kernels/sell_spmv.hpp"
+#include "kernels/shard.hpp"
+#include "kernels/spgemm.hpp"
 #include "stm/unit.hpp"
 #include "support/bits.hpp"
 #include "testing.hpp"
@@ -18,6 +27,7 @@ namespace smtu {
 namespace {
 
 using testing::coo_equal;
+using testing::floats_bit_equal;
 using testing::random_coo;
 
 // ---------------------------------------------------------------------------
@@ -189,11 +199,15 @@ INSTANTIATE_TEST_SUITE_P(
                       StmCase{64, 8, 2, false, 110}, StmCase{128, 4, 4, true, 111}));
 
 // ---------------------------------------------------------------------------
-// Kernel-vs-kernel agreement on structured patterns.
+// Every kernel class on structured and pathological patterns: the
+// single-core HiSM and CRS transposes, the sharded HiSM and parallel CRS
+// transposes, SELL-C-sigma SpMV and SpGEMM, each bit-checked against its
+// host reference.
 
 class PatternCase : public ::testing::TestWithParam<int> {};
 
 TEST_P(PatternCase, KernelsAgreeOnStructuredMatrices) {
+  constexpr u32 kSection = 16;
   const int pattern = GetParam();
   Coo coo(96, 96);
   switch (pattern) {
@@ -221,22 +235,73 @@ TEST_P(PatternCase, KernelsAgreeOnStructuredMatrices) {
         }
       }
       break;
+    case 6:  // hypersparse: 8 non-zeros in 4096 x 4096, the corners included
+      coo = Coo(4096, 4096, {{0, 0, 1.0f},
+                             {0, 4095, 2.0f},
+                             {17, 1234, 3.0f},
+                             {777, 3333, 4.0f},
+                             {1234, 17, 5.0f},
+                             {2048, 2047, 6.0f},
+                             {4095, 0, 7.0f},
+                             {4095, 4095, 8.0f}});
+      break;
+    case 7:  // one mega-row holding every non-zero
+      coo = Coo(2048, 2048);
+      for (Index j = 0; j < 2048; ++j) coo.add(1000, j, static_cast<float>(j % 97 + 1));
+      break;
+    case 8:  // tridiagonal band plus one dense s x s spike straddling four blocks
+      coo = Coo(256, 256);
+      for (Index i = 0; i < 256; ++i) {
+        for (Index j = i >= 1 ? i - 1 : 0; j <= std::min<Index>(i + 1, 255); ++j) {
+          coo.add(i, j, static_cast<float>(i + j + 1));
+        }
+      }
+      for (Index r = 150; r < 150 + kSection; ++r) {
+        for (Index c = 37; c < 37 + kSection; ++c) {
+          coo.add(r, c, static_cast<float>(r * 3 + c) + 0.5f);
+        }
+      }
+      break;
     default:
       FAIL();
   }
   coo.canonicalize();
   const Coo expected = coo.transposed();
+  const Csr csr = Csr::from_coo(coo);
 
   vsim::MachineConfig config;
-  config.section = 16;
+  config.section = kSection;
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(hism, config).transposed.to_coo(),
                         expected));
-  EXPECT_TRUE(
-      coo_equal(kernels::run_crs_transpose(Csr::from_coo(coo), config).transposed, expected));
+  EXPECT_TRUE(coo_equal(kernels::run_crs_transpose(csr, config).transposed, expected));
+
+  vsim::SystemConfig system;
+  system.core = config;
+  system.cores = 4;
+  EXPECT_TRUE(coo_equal(kernels::run_sharded_hism_transpose(coo, system).transposed, expected));
+  EXPECT_TRUE(coo_equal(kernels::run_parallel_crs_transpose(csr, system).transposed, expected));
+
+  const SellCSigma sell = SellCSigma::from_coo(coo, kSection, 0);
+  std::vector<float> x(static_cast<usize>(coo.cols()));
+  Rng rng(5);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  EXPECT_TRUE(floats_bit_equal(kernels::run_sell_spmv(sell, x, system).y, sell.spmv(x)));
+
+  // C = A^T B with two non-zeros in every row of B, so every non-zero of A
+  // contributes to C.
+  Coo b_coo(coo.rows(), 24);
+  for (Index i = 0; i < coo.rows(); ++i) {
+    b_coo.add(i, i % 24, static_cast<float>(i % 5 + 1));
+    b_coo.add(i, (i * 7 + 3) % 24, 0.5f);
+  }
+  b_coo.canonicalize();
+  const Csr b = Csr::from_coo(b_coo);
+  EXPECT_TRUE(floats_bit_equal(kernels::run_hism_spgemm(coo, b, system).dense,
+                               kernels::spgemm_at_b_reference_dense(coo, b)));
 }
 
-INSTANTIATE_TEST_SUITE_P(Patterns, PatternCase, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Patterns, PatternCase, ::testing::Range(0, 9));
 
 }  // namespace
 }  // namespace smtu

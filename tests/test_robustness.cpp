@@ -77,6 +77,8 @@ TEST(MatrixMarketRobustness, MalformedInputsThrowWithLineNumbers) {
       "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 zz\n",
       "%%MatrixMarket matrix array real general\n2 2\n1.0\n",  // truncated
       "%%MatrixMarket matrix coordinate hermitian general\n1 1 0\n",
+      // A hostile declared nnz: more entries than cells, far past memory.
+      "%%MatrixMarket matrix coordinate real general\n1 1 99999999999999999\n1 1 1\n",
   };
   for (const char* source : cases) {
     std::istringstream in(source);

@@ -4,7 +4,7 @@
 Usage:
     tools/check_repro_determinism.py PATH/TO/reproduce_all [--scale=0.02]
                                      [--jobs A B ...] [--profile]
-                                     [--sim-cache] [--telemetry]
+                                     [--telemetry]
 
 Runs the binary once per jobs value (default: 1 and 4) and asserts the
 smtu-repro-v1 JSON artifacts are identical after stripping the host-timing
@@ -17,11 +17,6 @@ leaf fails the check.
 record carries a full smtu-profile-v1 section (cycle attribution, stall
 taxonomy, per-line counters — docs/PROFILING.md) that is held to the same
 bit-identical standard.
-
---sim-cache additionally runs the binary twice more with a shared
---sim-cache directory (a cold run populating it, then a warm run replaying
-from it) and holds both artifacts to the same standard: caching must not
-change a single simulated number (HACKING.md "Host performance").
 
 --telemetry additionally runs the binary once more with host telemetry
 collection on (docs/TELEMETRY.md) and asserts the artifact is bit-identical
@@ -62,16 +57,13 @@ def strip_timing(value):
     return value
 
 
-def run_once(binary, scale, jobs, tmp, profile=False, sim_cache=None, tag="",
-             telemetry=False):
+def run_once(binary, scale, jobs, tmp, profile=False, tag="", telemetry=False):
     report = os.path.join(tmp, f"report_j{jobs}{tag}.md")
     artifact = os.path.join(tmp, f"repro_j{jobs}{tag}.json")
     command = [binary, f"--scale={scale}", f"--jobs={jobs}",
                f"--out={report}", f"--json={artifact}"]
     if profile:
         command.append("--profile")
-    if sim_cache:
-        command.append(f"--sim-cache={sim_cache}")
     if telemetry:
         command.append("--telemetry")
     result = subprocess.run(command, capture_output=True, text=True, check=False)
@@ -125,10 +117,6 @@ def main():
     parser.add_argument("--profile", action="store_true",
                         help="run with --profile and hold the per-matrix "
                              "profile sections to the same determinism bar")
-    parser.add_argument("--sim-cache", action="store_true",
-                        help="also run cold+warm with a shared --sim-cache "
-                             "directory and assert both artifacts identical "
-                             "to the uncached reference")
     parser.add_argument("--telemetry", action="store_true",
                         help="also run with --telemetry and assert the "
                              "artifact identical to the telemetry-off "
@@ -148,13 +136,6 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         docs = {jobs: run_once(args.binary, args.scale, jobs, tmp, args.profile)
                 for jobs in args.jobs}
-        cached_docs = {}
-        if args.sim_cache:
-            cache_dir = os.path.join(tmp, "simcache")
-            for tag in ("cold", "warm"):
-                cached_docs[tag] = run_once(args.binary, args.scale, args.jobs[0],
-                                            tmp, args.profile, cache_dir,
-                                            f"_{tag}")
         telemetry_doc = None
         if args.telemetry:
             telemetry_doc = run_once(args.binary, args.scale, args.jobs[0], tmp,
@@ -177,14 +158,6 @@ def main():
             return 1
         print(f"check_repro_determinism: -j{jobs} identical to "
               f"-j{reference_jobs} (modulo wall_ms)")
-    for tag, doc in cached_docs.items():
-        difference = first_difference(reference, strip_timing(doc))
-        if difference:
-            print(f"check_repro_determinism: uncached vs --sim-cache {tag} run "
-                  f"differ at {difference}", file=sys.stderr)
-            return 1
-        print(f"check_repro_determinism: --sim-cache {tag} run identical to "
-              f"uncached -j{reference_jobs} (modulo wall_ms/host)")
     if telemetry_doc is not None:
         if "telemetry" not in telemetry_doc:
             print("check_repro_determinism: --telemetry run is missing its "

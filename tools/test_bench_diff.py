@@ -84,7 +84,8 @@ class BenchDiffGating(unittest.TestCase):
 
     def test_host_section_is_invisible(self):
         # The host cache-counter section varies with process history (cold vs
-        # warm --sim-cache runs); like harness it must never gate or diff.
+        # warm caches); like harness it must never gate or diff, whatever
+        # counter blocks it holds.
         old = report(1000, 5.0, 10.0)
         new = report(1000, 5.0, 12.0)
         new["host"] = {
