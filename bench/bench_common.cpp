@@ -116,17 +116,12 @@ KernelRun run_hism_kernel(const suite::SuiteMatrix& entry, const vsim::MachineCo
   const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
   vsim::PerfCounters counters;
   vsim::PerfCounters* profiler = profile ? &counters : nullptr;
+  HismMatrix transposed;
   KernelRun run;
-  if (verify) {
-    const auto result = kernels::run_hism_transpose(*stage, config, /*split_drain_registers=*/false,
-                                                    nullptr, profiler);
-    SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), entry.matrix.transposed()),
-                   "HiSM kernel produced a wrong transpose for " + entry.name);
-    run.stats = result.stats;
-  } else {
-    run.stats = kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false,
-                                             nullptr, profiler);
-  }
+  run.stats = kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false,
+                                           nullptr, profiler, verify ? &transposed : nullptr);
+  SMTU_CHECK_MSG(!verify || structurally_equal(transposed.to_coo(), entry.matrix.transposed()),
+                 "HiSM kernel produced a wrong transpose for " + entry.name);
   if (profile) run.profile_json = render_profile_json(counters);
   run.wall_ms = elapsed_ms(started);
   return run;
@@ -138,15 +133,12 @@ KernelRun run_crs_kernel(const suite::SuiteMatrix& entry, const vsim::MachineCon
   const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
   vsim::PerfCounters counters;
   vsim::PerfCounters* profiler = profile ? &counters : nullptr;
+  Coo transposed;
   KernelRun run;
-  if (verify) {
-    const auto result = kernels::run_crs_transpose(*stage, config, {}, profiler);
-    SMTU_CHECK_MSG(structurally_equal(result.transposed, entry.matrix.transposed()),
-                   "CRS kernel produced a wrong transpose for " + entry.name);
-    run.stats = result.stats;
-  } else {
-    run.stats = kernels::time_crs_transpose(*stage, config, {}, profiler);
-  }
+  run.stats =
+      kernels::time_crs_transpose(*stage, config, {}, profiler, verify ? &transposed : nullptr);
+  SMTU_CHECK_MSG(!verify || structurally_equal(transposed, entry.matrix.transposed()),
+                 "CRS kernel produced a wrong transpose for " + entry.name);
   if (profile) run.profile_json = render_profile_json(counters);
   run.wall_ms = elapsed_ms(started);
   return run;

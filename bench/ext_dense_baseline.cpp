@@ -33,9 +33,8 @@ int main(int argc, char** argv) {
   for (const double density : {0.001, 0.005, 0.02, 0.08, 0.3, 0.6}) {
     const usize nnz = static_cast<usize>(density * static_cast<double>(kDim) * kDim);
     const Coo coo = suite::gen_random_uniform(kDim, kDim, nnz, rng);
-    const u64 hism_cycles =
-        kernels::time_hism_transpose(HismMatrix::from_coo(coo, config.section), config)
-            .cycles;
+    const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+    const u64 hism_cycles = kernels::time_hism_transpose(stage, config).cycles;
     table.add_row({format("%.3f", density), format("%zu", nnz),
                    format("%llu", static_cast<unsigned long long>(hism_cycles)),
                    format("%llu", static_cast<unsigned long long>(dense_cycles)),

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(options.jobs);
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
     vsim::MachineConfig config;
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
+    const auto hism = kernels::build_hism_stage(HismMatrix::from_coo(entry.matrix, config.section));
     BufferTimings t;
     config.stm.double_buffer = false;
     t.single = kernels::time_hism_transpose(hism, config, /*split_drain_registers=*/true).cycles;

@@ -147,14 +147,13 @@ MatrixKernels bench_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
       config.cores = cores;
       ScalePoint point;
       point.cores = cores;
+      std::vector<float> y;
+      point.cycles =
+          kernels::time_sell_spmv(sell, x, config, nullptr, verify ? &y : nullptr).cycles;
       if (verify) {
-        const kernels::SellSpmvResult run = kernels::run_sell_spmv(sell, x, config);
-        check_bits(run.y, want,
+        check_bits(y, want,
                    entry.name + " SELL-" + std::to_string(kSellChunks[v]) + " SpMV at N=" +
                        std::to_string(cores));
-        point.cycles = run.stats.cycles;
-      } else {
-        point.cycles = kernels::time_sell_spmv(sell, x, config).cycles;
       }
       result.sell[v].push_back(point);
     }
@@ -168,13 +167,11 @@ MatrixKernels bench_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
     config.cores = cores;
     ScalePoint point;
     point.cores = cores;
-    if (verify) {
-      const kernels::SpgemmResult run = kernels::run_hism_spgemm(entry.matrix, csr, config);
-      check_bits(run.dense, want_dense, entry.name + " SpGEMM at N=" + std::to_string(cores));
-      point.cycles = run.stats.cycles;
-    } else {
-      point.cycles = kernels::time_hism_spgemm(entry.matrix, csr, config).cycles;
-    }
+    std::vector<float> dense;
+    point.cycles =
+        kernels::time_hism_spgemm(entry.matrix, csr, config, nullptr, verify ? &dense : nullptr)
+            .cycles;
+    if (verify) check_bits(dense, want_dense, entry.name + " SpGEMM at N=" + std::to_string(cores));
     result.spgemm.push_back(point);
   }
   return result;

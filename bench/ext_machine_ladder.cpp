@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
   };
   ThreadPool pool(options.jobs);
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const Csr csr = Csr::from_coo(entry.matrix);
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
-    return LadderTimings{kernels::time_scalar_crs_transpose(csr, config).cycles,
-                         kernels::time_crs_transpose(csr, config).cycles,
+    const auto crs = kernels::build_crs_stage(Csr::from_coo(entry.matrix));
+    const auto hism = kernels::build_hism_stage(HismMatrix::from_coo(entry.matrix, config.section));
+    return LadderTimings{kernels::time_scalar_crs_transpose(crs, config).cycles,
+                         kernels::time_crs_transpose(crs, config).cycles,
                          kernels::time_hism_transpose(hism, config).cycles};
   });
   double total_vector = 0.0;

@@ -16,7 +16,6 @@
 #include <functional>
 #include <string_view>
 
-#include "formats/csc.hpp"
 #include "formats/csr.hpp"
 #include "formats/sell.hpp"
 #include "hism/image.hpp"

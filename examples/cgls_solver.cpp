@@ -88,8 +88,10 @@ int main(int argc, char** argv) {
   // What the explicit A^T build costs on the simulated vector machine.
   const vsim::MachineConfig config;
   const u64 hism_cycles =
-      kernels::time_hism_transpose(HismMatrix::from_coo(coo, config.section), config).cycles;
-  const u64 crs_cycles = kernels::time_crs_transpose(a, config).cycles;
+      kernels::time_hism_transpose(
+          kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section)), config)
+          .cycles;
+  const u64 crs_cycles = kernels::time_crs_transpose(kernels::build_crs_stage(a), config).cycles;
   std::printf("\nbuilding the explicit A^T once on the simulated vector processor:\n");
   std::printf("  HiSM + STM:          %9llu cycles\n",
               static_cast<unsigned long long>(hism_cycles));

@@ -101,13 +101,15 @@ int main(int argc, char** argv) {
     vsim::ExecutionTrace trace(usize{1} << 20);
     std::printf("\nsimulated HiSM transposition (s=%u, STM B=%u, L=%u):\n", section,
                 machine_config.stm.bandwidth, machine_config.stm.lines);
-    const auto result = kernels::run_hism_transpose(
-        hism, machine_config, /*split_drain_registers=*/false, &trace);
-    if (!structurally_equal(result.transposed.to_coo(), matrix.transposed())) {
+    HismMatrix transposed;
+    const vsim::RunStats run_stats =
+        kernels::time_hism_transpose(kernels::build_hism_stage(hism), machine_config,
+                                     /*split_drain_registers=*/false, &trace, nullptr, &transposed);
+    if (!structurally_equal(transposed.to_coo(), matrix.transposed())) {
       std::fprintf(stderr, "simulated transpose does not match the reference\n");
       return 1;
     }
-    std::fputs(vsim::run_stats_summary(result.stats).c_str(), stdout);
+    std::fputs(vsim::run_stats_summary(run_stats).c_str(), stdout);
     std::ofstream trace_out(trace_json);
     if (!trace_out) {
       std::fprintf(stderr, "cannot open %s\n", trace_json.c_str());

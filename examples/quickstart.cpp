@@ -33,19 +33,24 @@ int main() {
   std::printf("HiSM: %u levels, %zu level-0 block-arrays\n", hism.num_levels(),
               hism.level(0).size());
 
-  // 3. Run the recursive transpose kernel (Fig. 6/7 of the paper) on the
-  //    simulated vector processor with the STM functional unit.
-  const kernels::HismTransposeResult result = kernels::run_hism_transpose(hism, config);
+  // 3. Stage its memory image once, then run the recursive transpose kernel
+  //    (Fig. 6/7 of the paper) on the simulated vector processor with the
+  //    STM functional unit. Passing `&result` asks the runner to decode the
+  //    transposed matrix back out of simulated memory.
+  const kernels::HismStage stage = kernels::build_hism_stage(hism);
+  HismMatrix result;
+  const vsim::RunStats stats = kernels::time_hism_transpose(
+      stage, config, /*split_drain_registers=*/false, nullptr, nullptr, &result);
   std::printf("simulated transpose: %llu cycles (%.2f cycles per non-zero), "
               "%llu instructions, %llu s^2-block passes through the STM\n",
-              static_cast<unsigned long long>(result.stats.cycles),
-              static_cast<double>(result.stats.cycles) / static_cast<double>(matrix.nnz()),
-              static_cast<unsigned long long>(result.stats.instructions),
-              static_cast<unsigned long long>(result.stats.stm_blocks));
+              static_cast<unsigned long long>(stats.cycles),
+              static_cast<double>(stats.cycles) / static_cast<double>(matrix.nnz()),
+              static_cast<unsigned long long>(stats.instructions),
+              static_cast<unsigned long long>(stats.stm_blocks));
 
   // 4. Verify: decoded simulator output == software reference transpose.
   const Coo expected = matrix.transposed();
-  const bool simulator_correct = structurally_equal(result.transposed.to_coo(), expected);
+  const bool simulator_correct = structurally_equal(result.to_coo(), expected);
   const bool reference_correct = structurally_equal(transposed(hism).to_coo(), expected);
   std::printf("verification: simulator %s, software reference %s\n",
               simulator_correct ? "OK" : "MISMATCH", reference_correct ? "OK" : "MISMATCH");

@@ -54,37 +54,42 @@ int main(int argc, char** argv) {
   config.stm.bandwidth = bandwidth;
   config.stm.lines = lines;
 
-  const HismMatrix hism = HismMatrix::from_coo(matrix, config.section);
-  const Csr csr = Csr::from_coo(matrix);
+  const auto hism_stage = kernels::build_hism_stage(HismMatrix::from_coo(matrix, config.section));
+  const auto crs_stage = kernels::build_crs_stage(Csr::from_coo(matrix));
   const Coo expected = matrix.transposed();
 
+  // Each runner decodes its result only when given somewhere to put it.
   std::printf("\nHiSM + STM (B=%u, L=%u):\n", bandwidth, lines);
-  const auto hism_result = kernels::run_hism_transpose(hism, config);
-  const bool hism_ok =
-      no_verify || structurally_equal(hism_result.transposed.to_coo(), expected);
+  HismMatrix hism_transposed;
+  const vsim::RunStats hism_stats =
+      kernels::time_hism_transpose(hism_stage, config, /*split_drain_registers=*/false, nullptr,
+                                   nullptr, no_verify ? nullptr : &hism_transposed);
+  const bool hism_ok = no_verify || structurally_equal(hism_transposed.to_coo(), expected);
   std::printf("  %llu cycles, %.2f cycles/nnz, %llu STM block passes  [%s]\n",
-              static_cast<unsigned long long>(hism_result.stats.cycles),
-              static_cast<double>(hism_result.stats.cycles) /
+              static_cast<unsigned long long>(hism_stats.cycles),
+              static_cast<double>(hism_stats.cycles) /
                   static_cast<double>(std::max<usize>(1, metrics.nnz)),
-              static_cast<unsigned long long>(hism_result.stats.stm_blocks),
+              static_cast<unsigned long long>(hism_stats.stm_blocks),
               no_verify ? "not verified" : (hism_ok ? "verified" : "WRONG"));
 
   std::printf("CRS (Pissanetsky, vectorized):\n");
-  const auto crs_result = kernels::run_crs_transpose(csr, config);
-  const bool crs_ok = no_verify || structurally_equal(crs_result.transposed, expected);
+  Coo crs_transposed;
+  const vsim::RunStats crs_stats = kernels::time_crs_transpose(
+      crs_stage, config, {}, nullptr, no_verify ? nullptr : &crs_transposed);
+  const bool crs_ok = no_verify || structurally_equal(crs_transposed, expected);
   std::printf("  %llu cycles, %.2f cycles/nnz, %llu indexed element accesses  [%s]\n",
-              static_cast<unsigned long long>(crs_result.stats.cycles),
-              static_cast<double>(crs_result.stats.cycles) /
+              static_cast<unsigned long long>(crs_stats.cycles),
+              static_cast<double>(crs_stats.cycles) /
                   static_cast<double>(std::max<usize>(1, metrics.nnz)),
-              static_cast<unsigned long long>(crs_result.stats.mem_indexed_elements),
+              static_cast<unsigned long long>(crs_stats.mem_indexed_elements),
               no_verify ? "not verified" : (crs_ok ? "verified" : "WRONG"));
 
   std::printf("\nspeedup (CRS cycles / HiSM cycles): %.1fx\n",
-              static_cast<double>(crs_result.stats.cycles) /
-                  static_cast<double>(std::max<u64>(1, hism_result.stats.cycles)));
+              static_cast<double>(crs_stats.cycles) /
+                  static_cast<double>(std::max<u64>(1, hism_stats.cycles)));
   if (stats) {
-    std::printf("\n-- HiSM kernel --\n%s", vsim::run_stats_summary(hism_result.stats).c_str());
-    std::printf("\n-- CRS kernel --\n%s", vsim::run_stats_summary(crs_result.stats).c_str());
+    std::printf("\n-- HiSM kernel --\n%s", vsim::run_stats_summary(hism_stats).c_str());
+    std::printf("\n-- CRS kernel --\n%s", vsim::run_stats_summary(crs_stats).c_str());
   }
   return hism_ok && crs_ok ? 0 : 1;
 }

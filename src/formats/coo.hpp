@@ -1,6 +1,6 @@
 // Coordinate (COO) sparse matrix: the interchange format of this project.
 //
-// Every other representation (CSR, CSC, JD, HiSM, simulator memory images)
+// Every other representation (CSR, JD, HiSM, simulator memory images)
 // converts to and from COO, and correctness of a transposition is always
 // established by comparing canonical COO forms.
 #pragma once

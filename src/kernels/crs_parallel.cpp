@@ -218,41 +218,22 @@ CrsImage stage_parallel_crs(vsim::MultiCoreSystem& system, const Csr& csr) {
   return image;
 }
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 }  // namespace
 
-ParallelCrsTransposeResult run_parallel_crs_transpose(
-    const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
+vsim::SystemRunStats time_parallel_crs_transpose(const Csr& csr,
+                                                 const vsim::SystemConfig& config,
+                                                 std::vector<vsim::PerfCounters>* profilers,
+                                                 Coo* transposed) {
   const auto program = vsim::ProgramCache::instance().get(parallel_crs_transpose_source());
   vsim::MultiCoreSystem system(config);
   const CrsImage image = stage_parallel_crs(system, csr);
-  attach_profilers(system, profilers);
-
-  ParallelCrsTransposeResult result;
-  result.stats = system.run(*program);
-  result.transposed = read_back_crs_transpose(system.memory(), image);
-  result.transposed.canonicalize();
-  return result;
-}
-
-vsim::SystemRunStats time_parallel_crs_transpose(
-    const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(parallel_crs_transpose_source());
-  vsim::MultiCoreSystem system(config);
-  stage_parallel_crs(system, csr);
-  attach_profilers(system, profilers);
-  return system.run(*program);
+  system.attach_profilers(profilers);
+  const vsim::SystemRunStats stats = system.run(*program);
+  if (transposed != nullptr) {
+    *transposed = read_back_crs_transpose(system.memory(), image);
+    transposed->canonicalize();
+  }
+  return stats;
 }
 
 }  // namespace smtu::kernels

@@ -29,21 +29,12 @@ namespace smtu::kernels {
 // through a host-staged descriptor whose address is in r20.
 std::string parallel_crs_transpose_source();
 
-struct ParallelCrsTransposeResult {
-  vsim::SystemRunStats stats;
-  Coo transposed;  // read back from ANT/JAT/IAT, canonical
-};
-
-// Stages `csr` in a fresh system, runs the kernel on all cores, reads the
-// transpose back. A non-null `profilers` is resized to the core count and
-// profiler c attaches to core c.
-ParallelCrsTransposeResult run_parallel_crs_transpose(
-    const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
-
-// Cycle counts only (skips the read-back for benchmark sweeps).
+// Stages `csr` in a fresh system and runs the kernel on all cores. A
+// non-null `profilers` is resized to the core count and profiler c attaches
+// to core c. A non-null `transposed` receives the transpose read back from
+// ANT/JAT/IAT, canonical; leave it null to skip the read-back.
 vsim::SystemRunStats time_parallel_crs_transpose(
     const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
+    std::vector<vsim::PerfCounters>* profilers = nullptr, Coo* transposed = nullptr);
 
 }  // namespace smtu::kernels

@@ -311,7 +311,15 @@ sr_done:
 
 namespace {
 
-void set_entry_sregs(vsim::Machine& machine, const CrsImage& image) {
+// The shared body of both CRS runners: attach the staged image, pass the
+// six array addresses and the dimensions in r1..r9, run.
+vsim::RunStats run_on_stage(const std::string& source, const CrsStage& stage,
+                            const vsim::MachineConfig& config, vsim::PerfCounters* profiler,
+                            Coo* transposed) {
+  const auto program = vsim::ProgramCache::instance().get(source);
+  const CrsImage& image = stage.image;
+  vsim::Machine machine(config);
+  machine.memory().attach_base(stage.snapshot);
   machine.set_sreg(1, image.an);
   machine.set_sreg(2, image.ja);
   machine.set_sreg(3, image.ia);
@@ -321,120 +329,25 @@ void set_entry_sregs(vsim::Machine& machine, const CrsImage& image) {
   machine.set_sreg(7, image.rows);
   machine.set_sreg(8, image.cols);
   machine.set_sreg(9, image.nnz);
-}
-
-vsim::Machine make_machine_with_image(const Csr& csr, const vsim::MachineConfig& config,
-                                      CrsImage& image) {
-  vsim::Machine machine(config);
-  image = stage_crs(machine, csr);
-  set_entry_sregs(machine, image);
-  return machine;
-}
-
-vsim::Machine make_machine_with_stage(const CrsStage& stage,
-                                      const vsim::MachineConfig& config) {
-  vsim::Machine machine(config);
-  machine.memory().attach_base(stage.snapshot);
-  set_entry_sregs(machine, stage.image);
-  return machine;
-}
-
-std::shared_ptr<const vsim::Program> vector_program(u32 section,
-                                                    const CrsKernelOptions& options) {
-  return vsim::ProgramCache::instance().get(crs_transpose_source(section, options));
-}
-
-std::shared_ptr<const vsim::Program> scalar_program() {
-  return vsim::ProgramCache::instance().get(scalar_crs_transpose_source());
+  machine.attach_profiler(profiler);
+  const vsim::RunStats stats = machine.run(*program);
+  if (transposed != nullptr) *transposed = read_back_crs_transpose(machine.memory(), image);
+  return stats;
 }
 
 }  // namespace
 
-CrsTransposeResult run_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options,
-                                     vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, image);
-  return result;
-}
-
-vsim::RunStats time_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options,
-                                  vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-CrsTransposeResult run_scalar_crs_transpose(const Csr& csr,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, image);
-  return result;
-}
-
-vsim::RunStats time_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options,
-                                     vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, stage.image);
-  return result;
-}
-
 vsim::RunStats time_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options,
-                                  vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-CrsTransposeResult run_scalar_crs_transpose(const CrsStage& stage,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, stage.image);
-  return result;
+                                  const CrsKernelOptions& options, vsim::PerfCounters* profiler,
+                                  Coo* transposed) {
+  return run_on_stage(crs_transpose_source(config.section, options), stage, config, profiler,
+                      transposed);
 }
 
 vsim::RunStats time_scalar_crs_transpose(const CrsStage& stage,
                                          const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
+                                         vsim::PerfCounters* profiler, Coo* transposed) {
+  return run_on_stage(scalar_crs_transpose_source(), stage, config, profiler, transposed);
 }
 
 }  // namespace smtu::kernels

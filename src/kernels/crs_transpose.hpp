@@ -48,39 +48,20 @@ std::string crs_transpose_source(u32 section, const CrsKernelOptions& options = 
 // how much the vector machine itself buys before HiSM enters the picture.
 const std::string& scalar_crs_transpose_source();
 
-struct CrsTransposeResult {
-  vsim::RunStats stats;
-  Coo transposed;  // read back from simulated memory
-};
-
-// A non-null `profiler` receives cycle attribution for the run (see
-// vsim/profiler.hpp and docs/PROFILING.md); counters are not reset first.
-CrsTransposeResult run_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options = {},
-                                     vsim::PerfCounters* profiler = nullptr);
-
-vsim::RunStats time_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options = {},
-                                  vsim::PerfCounters* profiler = nullptr);
-
-CrsTransposeResult run_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler = nullptr);
-vsim::RunStats time_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler = nullptr);
-
-// Stage-based variants: the machine attaches the stage's shared snapshot
-// copy-on-write instead of re-staging the image (kernels/staging.hpp).
-CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options = {},
-                                     vsim::PerfCounters* profiler = nullptr);
+// Both runners run on a fresh machine that attaches the stage's shared
+// snapshot copy-on-write (kernels/staging.hpp); a caller holding a matrix
+// stages it with build_crs_stage. Every output is optional:
+//   * `profiler` receives cycle attribution for the run (vsim/profiler.hpp,
+//     docs/PROFILING.md); counters are not reset first.
+//   * `transposed` receives the result read back from simulated memory.
+//     Leave it null to time the kernel without paying for the read-back.
 vsim::RunStats time_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
                                   const CrsKernelOptions& options = {},
-                                  vsim::PerfCounters* profiler = nullptr);
-CrsTransposeResult run_scalar_crs_transpose(const CrsStage& stage,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler = nullptr);
+                                  vsim::PerfCounters* profiler = nullptr,
+                                  Coo* transposed = nullptr);
 vsim::RunStats time_scalar_crs_transpose(const CrsStage& stage,
                                          const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler = nullptr);
+                                         vsim::PerfCounters* profiler = nullptr,
+                                         Coo* transposed = nullptr);
 
 }  // namespace smtu::kernels

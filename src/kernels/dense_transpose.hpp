@@ -17,14 +17,10 @@ namespace smtu::kernels {
 
 const std::string& dense_transpose_source();
 
-struct DenseTransposeResult {
-  vsim::RunStats stats;
-  Dense transposed;  // read back from simulated memory
-};
-
-DenseTransposeResult run_dense_transpose(const Dense& matrix,
-                                         const vsim::MachineConfig& config);
-
-vsim::RunStats time_dense_transpose(const Dense& matrix, const vsim::MachineConfig& config);
+// Stages `matrix` row-major in a fresh machine and runs the kernel. A
+// non-null `transposed` receives the result read back from simulated
+// memory; leave it null to time the kernel without the read-back.
+vsim::RunStats time_dense_transpose(const Dense& matrix, const vsim::MachineConfig& config,
+                                    Dense* transposed = nullptr);
 
 }  // namespace smtu::kernels

@@ -125,91 +125,45 @@ tb_done:
 
 namespace {
 
-void set_entry_sregs(vsim::Machine& machine, const HismImage& image) {
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-}
-
-vsim::Machine make_machine_with_image(const HismMatrix& hism,
-                                      const vsim::MachineConfig& config, HismImage& image) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  vsim::Machine machine(config);
-  image = stage_hism(machine, hism);
-  set_entry_sregs(machine, image);
-  return machine;
-}
-
-vsim::Machine make_machine_with_stage(const HismStage& stage,
-                                      const vsim::MachineConfig& config) {
+// The shared body of both HiSM transpose runners: attach the staged image,
+// load the entry registers of transpose_block(root, len, levels - 1), run.
+vsim::RunStats run_on_stage(const std::string& source, const HismStage& stage,
+                            const vsim::MachineConfig& config, vsim::ExecutionTrace* trace,
+                            vsim::PerfCounters* profiler, HismMatrix* transposed) {
   SMTU_CHECK_MSG(stage.hism.section() == config.section,
                  "HiSM section size must match the machine section size");
+  const auto program = vsim::ProgramCache::instance().get(source);
   vsim::Machine machine(config);
   machine.memory().attach_base(stage.snapshot);
-  set_entry_sregs(machine, stage.image);
-  return machine;
-}
-
-std::shared_ptr<const vsim::Program> transpose_program(bool split_drain_registers) {
-  return vsim::ProgramCache::instance().get(hism_transpose_source(split_drain_registers));
+  machine.set_sreg(1, stage.image.root_addr);
+  machine.set_sreg(2, stage.image.root_len);
+  machine.set_sreg(3, stage.image.levels - 1);
+  machine.set_sreg(vsim::kRegSp, kStackTop);
+  machine.attach_trace(trace);
+  machine.attach_profiler(profiler);
+  const vsim::RunStats stats = machine.run(*program);
+  if (transposed != nullptr) {
+    *transposed = read_back_hism(machine, stage.image, /*swap_dims=*/true);
+  }
+  return stats;
 }
 
 }  // namespace
 
-HismTransposeResult run_hism_transpose(const HismMatrix& hism,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers,
-                                       vsim::ExecutionTrace* trace,
-                                       vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  HismImage image;
-  vsim::Machine machine = make_machine_with_image(hism, config, image);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  HismTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, image, /*swap_dims=*/true);
-  return result;
-}
-
-vsim::RunStats time_hism_transpose(const HismMatrix& hism, const vsim::MachineConfig& config,
-                                   bool split_drain_registers,
-                                   vsim::ExecutionTrace* trace,
-                                   vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  HismImage image;
-  vsim::Machine machine = make_machine_with_image(hism, config, image);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-HismTransposeResult run_hism_transpose(const HismStage& stage,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers,
-                                       vsim::ExecutionTrace* trace,
-                                       vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  HismTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, stage.image, /*swap_dims=*/true);
-  return result;
-}
-
 vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineConfig& config,
-                                   bool split_drain_registers,
-                                   vsim::ExecutionTrace* trace,
-                                   vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
+                                   bool split_drain_registers, vsim::ExecutionTrace* trace,
+                                   vsim::PerfCounters* profiler, HismMatrix* transposed) {
+  return run_on_stage(hism_transpose_source(split_drain_registers), stage, config, trace,
+                      profiler, transposed);
+}
+
+vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
+                                             const vsim::MachineConfig& config,
+                                             HismMatrix* transposed) {
+  SMTU_CHECK_MSG(config.stm.double_buffer,
+                 "the software-pipelined kernel needs the double-buffered STM");
+  return run_on_stage(hism_transpose_pipelined_source(), stage, config, nullptr, nullptr,
+                      transposed);
 }
 
 }  // namespace smtu::kernels

@@ -31,48 +31,29 @@ namespace smtu::kernels {
 // paper's Fig. 7 register usage.
 std::string hism_transpose_source(bool split_drain_registers = false);
 
-struct HismTransposeResult {
-  vsim::RunStats stats;
-  HismMatrix transposed;  // decoded back from simulated memory
-};
-
-// Stages `hism` in a fresh machine, runs the kernel, decodes the result.
-// A non-null `trace` collects per-instruction timing events (see
-// vsim/trace.hpp and docs/TRACE.md); the trace is not cleared first. A
-// non-null `profiler` receives cycle attribution (vsim/profiler.hpp,
-// docs/PROFILING.md); counters are not reset first.
-HismTransposeResult run_hism_transpose(const HismMatrix& hism,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers = false,
-                                       vsim::ExecutionTrace* trace = nullptr,
-                                       vsim::PerfCounters* profiler = nullptr);
-
-// Cycle count only (skips the decode for benchmark sweeps).
-vsim::RunStats time_hism_transpose(const HismMatrix& hism, const vsim::MachineConfig& config,
-                                   bool split_drain_registers = false,
-                                   vsim::ExecutionTrace* trace = nullptr,
-                                   vsim::PerfCounters* profiler = nullptr);
-
-// Stage-based variants: the machine attaches the stage's shared snapshot
-// copy-on-write instead of re-staging the image (kernels/staging.hpp), so
-// config sweeps over one matrix pay the image build once.
-HismTransposeResult run_hism_transpose(const HismStage& stage,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers = false,
-                                       vsim::ExecutionTrace* trace = nullptr,
-                                       vsim::PerfCounters* profiler = nullptr);
+// Runs the kernel on a fresh machine that attaches the stage's shared
+// snapshot copy-on-write (kernels/staging.hpp), so config sweeps over one
+// matrix pay the image build once; a caller holding a matrix stages it with
+// build_hism_stage. Every output is optional:
+//   * `trace` collects per-instruction timing events (vsim/trace.hpp,
+//     docs/TRACE.md); it is not cleared first.
+//   * `profiler` receives cycle attribution (vsim/profiler.hpp,
+//     docs/PROFILING.md); counters are not reset first.
+//   * `transposed` receives the result decoded back from simulated memory.
+//     Leave it null to time the kernel without paying for the decode.
 vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineConfig& config,
                                    bool split_drain_registers = false,
                                    vsim::ExecutionTrace* trace = nullptr,
-                                   vsim::PerfCounters* profiler = nullptr);
+                                   vsim::PerfCounters* profiler = nullptr,
+                                   HismMatrix* transposed = nullptr);
 
 // Software-pipelined variant for the double-buffered STM (extension E4):
 // while leaf child k drains from one bank, child k+1 fills the other.
-// Requires config.stm.double_buffer.
+// Requires config.stm.double_buffer. A non-null `transposed` receives the
+// decoded result, as above.
 std::string hism_transpose_pipelined_source();
-HismTransposeResult run_hism_transpose_pipelined(const HismMatrix& hism,
-                                                 const vsim::MachineConfig& config);
-vsim::RunStats time_hism_transpose_pipelined(const HismMatrix& hism,
-                                             const vsim::MachineConfig& config);
+vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
+                                             const vsim::MachineConfig& config,
+                                             HismMatrix* transposed = nullptr);
 
 }  // namespace smtu::kernels

@@ -8,9 +8,6 @@
 // would clear a block that is still draining (the functional model checks
 // exactly that).
 #include "kernels/hism_transpose.hpp"
-#include "kernels/layout.hpp"
-#include "support/assert.hpp"
-#include "vsim/program_cache.hpp"
 
 namespace smtu::kernels {
 
@@ -189,44 +186,6 @@ tb_done:
     ret
 )asm";
   return source;
-}
-
-namespace {
-
-vsim::Machine make_pipelined_machine(const HismMatrix& hism,
-                                     const vsim::MachineConfig& config, HismImage& image) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  SMTU_CHECK_MSG(config.stm.double_buffer,
-                 "the software-pipelined kernel needs the double-buffered STM");
-  vsim::Machine machine(config);
-  image = stage_hism(machine, hism);
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-  return machine;
-}
-
-}  // namespace
-
-HismTransposeResult run_hism_transpose_pipelined(const HismMatrix& hism,
-                                                 const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  HismImage image;
-  vsim::Machine machine = make_pipelined_machine(hism, config, image);
-  HismTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, image, /*swap_dims=*/true);
-  return result;
-}
-
-vsim::RunStats time_hism_transpose_pipelined(const HismMatrix& hism,
-                                             const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  HismImage image;
-  vsim::Machine machine = make_pipelined_machine(hism, config, image);
-  return machine.run(*program);
 }
 
 }  // namespace smtu::kernels

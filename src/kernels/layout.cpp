@@ -55,10 +55,6 @@ CrsImage stage_crs(vsim::Machine& machine, const Csr& csr, Addr base) {
   return image;
 }
 
-Coo read_back_crs_transpose(const vsim::Machine& machine, const CrsImage& image) {
-  return read_back_crs_transpose(machine.memory(), image);
-}
-
 Coo read_back_crs_transpose(const vsim::Memory& mem, const CrsImage& image) {
   Coo coo(image.cols, image.rows);
   coo.entries().reserve(image.nnz);

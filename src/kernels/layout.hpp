@@ -37,7 +37,6 @@ CrsImage stage_crs(vsim::Machine& machine, const Csr& csr, Addr base = kImageBas
 
 // Reads the transposed matrix (ANT/JAT/IAT) back as COO.
 Coo read_back_crs_transpose(const vsim::Memory& memory, const CrsImage& image);
-Coo read_back_crs_transpose(const vsim::Machine& machine, const CrsImage& image);
 
 // Writes a HiSM image into machine memory (image built at `base`).
 HismImage stage_hism(vsim::Machine& machine, const HismMatrix& hism, Addr base = kImageBase);

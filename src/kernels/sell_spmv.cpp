@@ -78,21 +78,9 @@ done:
 
 namespace {
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
-struct SellLayout {
-  Addr y = 0;
-};
-
-SellLayout stage_sell_spmv(vsim::MultiCoreSystem& system, const SellCSigma& sell,
+// Stages the SELL arrays, x and the per-core descriptors; returns the
+// address of y.
+Addr stage_sell_spmv(vsim::MultiCoreSystem& system, const SellCSigma& sell,
                            const std::vector<float>& x) {
   SMTU_CHECK_MSG(sell.chunk() <= system.config().core.section,
                  "SELL chunk height exceeds the machine section");
@@ -159,36 +147,27 @@ SellLayout stage_sell_spmv(vsim::MultiCoreSystem& system, const SellCSigma& sell
     mem.write_u32(desc + 40, sell.chunk());
     system.core(c).set_sreg(20, desc);
   }
-  return SellLayout{yb};
+  return yb;
 }
 
 }  // namespace
 
-SellSpmvResult run_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
-                             const vsim::SystemConfig& config,
-                             std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(sell_spmv_source());
-  vsim::MultiCoreSystem system(config);
-  const SellLayout layout = stage_sell_spmv(system, sell, x);
-  attach_profilers(system, profilers);
-
-  SellSpmvResult result;
-  result.stats = system.run(*program);
-  result.y.resize(sell.rows());
-  for (Index i = 0; i < sell.rows(); ++i) {
-    result.y[i] = system.memory().read_f32(layout.y + 4ull * i);
-  }
-  return result;
-}
-
 vsim::SystemRunStats time_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
                                     const vsim::SystemConfig& config,
-                                    std::vector<vsim::PerfCounters>* profilers) {
+                                    std::vector<vsim::PerfCounters>* profilers,
+                                    std::vector<float>* y) {
   const auto program = vsim::ProgramCache::instance().get(sell_spmv_source());
   vsim::MultiCoreSystem system(config);
-  stage_sell_spmv(system, sell, x);
-  attach_profilers(system, profilers);
-  return system.run(*program);
+  const Addr y_addr = stage_sell_spmv(system, sell, x);
+  system.attach_profilers(profilers);
+  const vsim::SystemRunStats stats = system.run(*program);
+  if (y != nullptr) {
+    y->resize(sell.rows());
+    for (Index i = 0; i < sell.rows(); ++i) {
+      (*y)[i] = system.memory().read_f32(y_addr + 4ull * i);
+    }
+  }
+  return stats;
 }
 
 }  // namespace smtu::kernels

@@ -23,20 +23,14 @@ namespace smtu::kernels {
 // SPMD program; requires the format's chunk height C <= machine section.
 std::string sell_spmv_source();
 
-struct SellSpmvResult {
-  vsim::SystemRunStats stats;
-  std::vector<float> y;
-};
-
 // Runs y = A x with chunks distributed over the system's cores, balanced by
-// stored slots. N = 1 reproduces the single-core machine bit for bit.
-SellSpmvResult run_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
-                             const vsim::SystemConfig& config,
-                             std::vector<vsim::PerfCounters>* profilers = nullptr);
-
-// Timing-only variant (no result read-back) for the bench harness.
+// stored slots. N = 1 reproduces the single-core machine bit for bit. A
+// non-null `profilers` is resized to the core count and profiler c attaches
+// to core c. A non-null `y` receives the result read back from simulated
+// memory; leave it null to time the kernel without the read-back.
 vsim::SystemRunStats time_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
                                     const vsim::SystemConfig& config,
-                                    std::vector<vsim::PerfCounters>* profilers = nullptr);
+                                    std::vector<vsim::PerfCounters>* profilers = nullptr,
+                                    std::vector<float>* y = nullptr);
 
 }  // namespace smtu::kernels

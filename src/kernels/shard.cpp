@@ -248,52 +248,32 @@ StagedShard stage_sharded(vsim::MultiCoreSystem& system, const Coo& coo) {
   return staged;
 }
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 }  // namespace
 
-ShardedHismTransposeResult run_sharded_hism_transpose(
-    const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
+vsim::SystemRunStats time_sharded_hism_transpose(const Coo& coo,
+                                                 const vsim::SystemConfig& config,
+                                                 std::vector<vsim::PerfCounters>* profilers,
+                                                 Coo* transposed) {
   const auto program = vsim::ProgramCache::instance().get(sharded_hism_transpose_source());
   vsim::MultiCoreSystem system(config);
   const StagedShard staged = stage_sharded(system, coo);
-  attach_profilers(system, profilers);
-
-  ShardedHismTransposeResult result;
-  result.stats = system.run(*program);
+  system.attach_profilers(profilers);
+  const vsim::SystemRunStats stats = system.run(*program);
+  if (transposed == nullptr) return stats;
   if (staged.merged_len == 0) {
-    result.transposed = Coo(coo.cols(), coo.rows());
-    return result;
+    *transposed = Coo(coo.cols(), coo.rows());
+    return stats;
   }
   const std::span<const u8> raw = system.memory().raw();
   SMTU_CHECK(staged.image_end <= raw.size());
   const std::span<const u8> window =
       raw.subspan(kImageBase, staged.image_end - kImageBase);
-  HismMatrix merged = decode_hism_image(window, kImageBase, staged.merged_root,
-                                        staged.merged_len, staged.plan.levels,
-                                        config.core.section, coo.cols(), coo.rows());
-  result.transposed = merged.to_coo();
-  result.transposed.canonicalize();
-  return result;
-}
-
-vsim::SystemRunStats time_sharded_hism_transpose(
-    const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(sharded_hism_transpose_source());
-  vsim::MultiCoreSystem system(config);
-  stage_sharded(system, coo);
-  attach_profilers(system, profilers);
-  return system.run(*program);
+  const HismMatrix merged = decode_hism_image(window, kImageBase, staged.merged_root,
+                                              staged.merged_len, staged.plan.levels,
+                                              config.core.section, coo.cols(), coo.rows());
+  *transposed = merged.to_coo();
+  transposed->canonicalize();
+  return stats;
 }
 
 }  // namespace smtu::kernels

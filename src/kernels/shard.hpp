@@ -48,22 +48,13 @@ HismShardPlan shard_hism(const Coo& coo, u32 section, u32 cores);
 // per-core panel descriptors arrive via r20.
 std::string sharded_hism_transpose_source();
 
-struct ShardedHismTransposeResult {
-  vsim::SystemRunStats stats;
-  Coo transposed;  // decoded from the merged image, canonical
-};
-
-// Shards `coo`, stages the panels in a fresh system, runs the SPMD kernel
-// on all cores, and decodes the merged transposed matrix back. A non-null
-// `profilers` is resized to the core count and profiler c attaches to
-// core c (per-core cycle attribution; see docs/PROFILING.md).
-ShardedHismTransposeResult run_sharded_hism_transpose(
-    const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
-
-// Cycle counts only (skips the decode for benchmark sweeps).
+// Shards `coo`, stages the panels in a fresh system and runs the SPMD
+// kernel on all cores. A non-null `profilers` is resized to the core count
+// and profiler c attaches to core c (per-core cycle attribution; see
+// docs/PROFILING.md). A non-null `transposed` receives the merged transposed
+// matrix decoded back, canonical; leave it null to skip the decode.
 vsim::SystemRunStats time_sharded_hism_transpose(
     const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
+    std::vector<vsim::PerfCounters>* profilers = nullptr, Coo* transposed = nullptr);
 
 }  // namespace smtu::kernels

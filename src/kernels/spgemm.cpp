@@ -217,25 +217,9 @@ std::vector<float> spgemm_at_b_reference_dense(const Coo& a, const Csr& b) {
 
 namespace {
 
-Coo dense_to_coo(const std::vector<float>& dense, Index rows, Index cols) {
-  Coo coo(rows, cols);
-  for (Index i = 0; i < rows; ++i) {
-    for (Index j = 0; j < cols; ++j) {
-      const float v = dense[static_cast<usize>(i) * cols + j];
-      if (v != 0.0f) coo.add(i, j, v);
-    }
-  }
-  coo.canonicalize();
-  return coo;
-}
-
-struct SpgemmLayout {
-  Addr c_base = 0;
-  Index n = 0;  // rows of C
-  Index p = 0;  // cols of C
-};
-
-SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr& b) {
+// Stages A, B, the zeroed C and the per-core descriptors; returns the
+// address of C.
+Addr stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr& b) {
   SMTU_CHECK_MSG(a.rows() == b.rows(), "A^T * B needs matching inner dimensions");
   const u32 section = system.config().core.section;
   SMTU_CHECK_MSG(std::has_single_bit(section), "section must be a power of two");
@@ -321,54 +305,28 @@ SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr
     system.core(c).set_sreg(20, desc);
     system.core(c).set_sreg(vsim::kRegSp, kStackTop - stack_span * c);
   }
-  return SpgemmLayout{c_base, static_cast<Index>(n), static_cast<Index>(p)};
-}
-
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
+  return c_base;
 }
 
 }  // namespace
 
-Coo spgemm_at_b_reference(const Coo& a, const Csr& b) {
-  return dense_to_coo(spgemm_at_b_reference_dense(a, b), a.cols(), b.cols());
-}
-
-SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfig& config,
-                             std::vector<vsim::PerfCounters>* profilers) {
-  const auto program =
-      vsim::ProgramCache::instance().get(hism_spgemm_source(config.core.section));
-  vsim::MultiCoreSystem system(config);
-  const SpgemmLayout layout = stage_spgemm(system, a, b);
-  attach_profilers(system, profilers);
-
-  SpgemmResult result;
-  result.stats = system.run(*program);
-  result.rows = layout.n;
-  result.cols = layout.p;
-  result.dense.resize(static_cast<usize>(layout.n) * layout.p);
-  for (usize i = 0; i < result.dense.size(); ++i) {
-    result.dense[i] = system.memory().read_f32(layout.c_base + 4 * i);
-  }
-  result.product = dense_to_coo(result.dense, layout.n, layout.p);
-  return result;
-}
-
 vsim::SystemRunStats time_hism_spgemm(const Coo& a, const Csr& b,
                                       const vsim::SystemConfig& config,
-                                      std::vector<vsim::PerfCounters>* profilers) {
+                                      std::vector<vsim::PerfCounters>* profilers,
+                                      std::vector<float>* dense) {
   const auto program =
       vsim::ProgramCache::instance().get(hism_spgemm_source(config.core.section));
   vsim::MultiCoreSystem system(config);
-  stage_spgemm(system, a, b);
-  attach_profilers(system, profilers);
-  return system.run(*program);
+  const Addr c_base = stage_spgemm(system, a, b);
+  system.attach_profilers(profilers);
+  const vsim::SystemRunStats stats = system.run(*program);
+  if (dense != nullptr) {
+    dense->resize(static_cast<usize>(a.cols()) * b.cols());
+    for (usize i = 0; i < dense->size(); ++i) {
+      (*dense)[i] = system.memory().read_f32(c_base + 4 * i);
+    }
+  }
+  return stats;
 }
 
 }  // namespace smtu::kernels

@@ -34,28 +34,19 @@ namespace smtu::kernels {
 // uses shifts, as in the HiSM SpMV walk).
 std::string hism_spgemm_source(u32 section);
 
-struct SpgemmResult {
-  vsim::SystemRunStats stats;
-  Index rows = 0;              // n = a.cols()
-  Index cols = 0;              // p = b.cols()
-  std::vector<float> dense;    // row-major n x p accumulator read-back
-  Coo product;                 // dense with exact zeros dropped, canonical
-};
-
 // Host-side reference with the kernel's exact accumulation order (per output
 // row i, ascending k; per term, B's row order): the kernel result must be
 // bit-identical to this at any core count.
 std::vector<float> spgemm_at_b_reference_dense(const Coo& a, const Csr& b);
-Coo spgemm_at_b_reference(const Coo& a, const Csr& b);
 
 // Runs C = A^T * B. A is staged as a HiSM image (section taken from the
-// machine config), B as CRS arrays, C as a zeroed dense n x p buffer.
-SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfig& config,
-                             std::vector<vsim::PerfCounters>* profilers = nullptr);
-
-// Timing-only variant (no result read-back) for the bench harness.
+// machine config), B as CRS arrays, C as a zeroed dense n x p buffer
+// (n = a.cols(), p = b.cols()). A non-null `profilers` is resized to the
+// core count and profiler c attaches to core c. A non-null `dense` receives
+// C read back row-major; leave it null to skip the read-back.
 vsim::SystemRunStats time_hism_spgemm(const Coo& a, const Csr& b,
                                       const vsim::SystemConfig& config,
-                                      std::vector<vsim::PerfCounters>* profilers = nullptr);
+                                      std::vector<vsim::PerfCounters>* profilers = nullptr,
+                                      std::vector<float>* dense = nullptr);
 
 }  // namespace smtu::kernels

@@ -266,18 +266,27 @@ std::vector<float> read_floats(const vsim::Machine& machine, Addr addr, usize co
 
 }  // namespace
 
-SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
-                         const vsim::MachineConfig& config) {
+namespace {
+
+// The shared body of the direct and transposed HiSM products: x sits past
+// the image, then the zeroed y; only the source, the x/y sizes and the
+// dimension check's wording differ.
+SpmvResult run_hism_spmv_impl(const HismMatrix& hism, const std::vector<float>& x,
+                              const vsim::MachineConfig& config, bool transposed) {
   SMTU_CHECK_MSG(hism.section() == config.section,
                  "HiSM section size must match the machine section size");
-  SMTU_CHECK_MSG(x.size() == hism.cols(), "x dimension mismatch");
-  const auto program = vsim::ProgramCache::instance().get(hism_spmv_source(config.section));
+  const usize x_size = transposed ? hism.rows() : hism.cols();
+  const usize y_size = transposed ? hism.cols() : hism.rows();
+  SMTU_CHECK_MSG(x.size() == x_size,
+                 transposed ? "x dimension mismatch (y = A^T x)" : "x dimension mismatch");
+  const auto program =
+      vsim::ProgramCache::instance().get(hism_spmv_source_impl(config.section, transposed));
 
   vsim::Machine machine(config);
   const HismImage image = stage_hism(machine, hism);
   const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
   const Addr y_addr = stage_floats(machine, x_addr, x);
-  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, hism.rows()));  // zeroed y
+  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, y_size));  // zeroed y
 
   machine.set_sreg(1, image.root_addr);
   machine.set_sreg(2, image.root_len);
@@ -289,35 +298,20 @@ SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
 
   SpmvResult result;
   result.stats = machine.run(*program);
-  result.y = read_floats(machine, y_addr, hism.rows());
+  result.y = read_floats(machine, y_addr, y_size);
   return result;
+}
+
+}  // namespace
+
+SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
+                         const vsim::MachineConfig& config) {
+  return run_hism_spmv_impl(hism, x, config, /*transposed=*/false);
 }
 
 SpmvResult run_hism_spmv_transposed(const HismMatrix& hism, const std::vector<float>& x,
                                     const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  SMTU_CHECK_MSG(x.size() == hism.rows(), "x dimension mismatch (y = A^T x)");
-  const auto program = vsim::ProgramCache::instance().get(hism_spmv_transposed_source(config.section));
-
-  vsim::Machine machine(config);
-  const HismImage image = stage_hism(machine, hism);
-  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
-  const Addr y_addr = stage_floats(machine, x_addr, x);
-  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, hism.cols()));
-
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(4, x_addr);
-  machine.set_sreg(5, y_addr);
-  machine.set_sreg(6, ipow(config.section, image.levels - 1));
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-
-  SpmvResult result;
-  result.stats = machine.run(*program);
-  result.y = read_floats(machine, y_addr, hism.cols());
-  return result;
+  return run_hism_spmv_impl(hism, x, config, /*transposed=*/true);
 }
 
 SpmvResult run_crs_spmv(const Csr& csr, const std::vector<float>& x,

@@ -22,7 +22,11 @@ std::shared_ptr<const std::vector<u8>> make_snapshot(Addr base,
                                                      std::span<const u8> image_bytes) {
   auto snapshot =
       std::make_shared<std::vector<u8>>(grown_size(base + image_bytes.size()), u8{0});
-  std::memcpy(snapshot->data() + base, image_bytes.data(), image_bytes.size());
+  // An empty matrix stages an empty image whose data() may be null, which
+  // memcpy must never see.
+  if (!image_bytes.empty()) {
+    std::memcpy(snapshot->data() + base, image_bytes.data(), image_bytes.size());
+  }
   return snapshot;
 }
 

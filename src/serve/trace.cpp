@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -70,9 +71,31 @@ u64 next_gap_us(const ArrivalSpec& arrival, u64 now_us, Rng& rng) {
   return std::max<u64>(1, static_cast<u64>(std::llround(gap)));
 }
 
-u64 get_u64(const JsonValue& object, std::string_view key, u64 fallback) {
+// Reads the unsigned integer field `key` into `out`, which keeps its value
+// when the key is absent. A present value that is not a non-negative
+// integer fitting T is an error: it would otherwise be truncated into range
+// or, past 2^64, be undefined behaviour to convert.
+template <typename T>
+bool read_uint(const JsonValue& object, std::string_view key, T& out, std::string* error) {
   const JsonValue* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_u64() : fallback;
+  if (value == nullptr) return true;
+  const double number = value->is_number() ? value->as_double() : -1.0;
+  if (number >= 0.0 && number < 0x1p64 && number == std::floor(number) &&
+      static_cast<u64>(number) <= std::numeric_limits<T>::max()) {
+    out = static_cast<T>(number);
+    return true;
+  }
+  if (error != nullptr) {
+    *error = format("\"%.*s\" is not an unsigned %zu-bit integer", static_cast<int>(key.size()),
+                    key.data(), 8 * sizeof(T));
+  }
+  return false;
+}
+
+// Prefixes the error read_uint left with where the field sits.
+std::nullopt_t fail_in(std::string* error, const std::string& where) {
+  if (error != nullptr) error->insert(0, where);
+  return std::nullopt;
 }
 
 double get_double(const JsonValue& object, std::string_view key, double fallback) {
@@ -243,7 +266,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
   }
 
   Trace trace;
-  trace.seed = get_u64(document, "seed", 0);
+  if (!read_uint(document, "seed", trace.seed, error)) return std::nullopt;
   const JsonValue* set = document.find("set");
   if (set == nullptr || !set->is_string()) {
     set_error(error, "missing \"set\" name");
@@ -251,7 +274,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
   }
   trace.set = set->as_string();
   if (const JsonValue* suite = document.find("suite"); suite != nullptr && suite->is_object()) {
-    trace.suite.seed = get_u64(*suite, "seed", trace.suite.seed);
+    if (!read_uint(*suite, "seed", trace.suite.seed, error)) return fail_in(error, "suite ");
     trace.suite.scale = get_double(*suite, "scale", trace.suite.scale);
   }
   if (const JsonValue* arrival = document.find("arrival");
@@ -265,8 +288,10 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
         get_double(*arrival, "hism_fraction", trace.arrival.hism_fraction);
     trace.arrival.alt_config_fraction =
         get_double(*arrival, "alt_config_fraction", trace.arrival.alt_config_fraction);
-    trace.arrival.burst_on_us = get_u64(*arrival, "burst_on_us", trace.arrival.burst_on_us);
-    trace.arrival.burst_off_us = get_u64(*arrival, "burst_off_us", trace.arrival.burst_off_us);
+    if (!read_uint(*arrival, "burst_on_us", trace.arrival.burst_on_us, error) ||
+        !read_uint(*arrival, "burst_off_us", trace.arrival.burst_off_us, error)) {
+      return fail_in(error, "arrival ");
+    }
     trace.arrival.burst_multiplier =
         get_double(*arrival, "burst_multiplier", trace.arrival.burst_multiplier);
     trace.arrival.heavytail_alpha =
@@ -284,12 +309,14 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       return std::nullopt;
     }
     ConfigSpec spec;
-    spec.section = static_cast<u32>(get_u64(item, "section", spec.section));
-    spec.stm_bandwidth = static_cast<u32>(get_u64(item, "stm_bandwidth", spec.stm_bandwidth));
-    spec.stm_lines = static_cast<u32>(get_u64(item, "stm_lines", spec.stm_lines));
+    if (!read_uint(item, "section", spec.section, error) ||
+        !read_uint(item, "stm_bandwidth", spec.stm_bandwidth, error) ||
+        !read_uint(item, "stm_lines", spec.stm_lines, error)) {
+      return fail_in(error, "config variant ");
+    }
     trace.configs.push_back(spec);
   }
-  trace.matrix_count = static_cast<u32>(get_u64(document, "matrices", 0));
+  if (!read_uint(document, "matrices", trace.matrix_count, error)) return std::nullopt;
   if (trace.matrix_count == 0) {
     set_error(error, "missing or zero \"matrices\" count");
     return std::nullopt;
@@ -307,8 +334,16 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       return std::nullopt;
     }
     Request request;
-    request.id = static_cast<u32>(get_u64(item, "id", trace.requests.size()));
-    request.matrix = static_cast<u32>(get_u64(item, "matrix", trace.matrix_count));
+    request.id = static_cast<u32>(trace.requests.size());
+    if (!read_uint(item, "id", request.id, error)) return fail_in(error, "request ");
+    // Absent indices default to one past the end, so they fail the range checks.
+    request.matrix = trace.matrix_count;
+    request.config = static_cast<u32>(trace.configs.size());
+    if (!read_uint(item, "matrix", request.matrix, error) ||
+        !read_uint(item, "config", request.config, error) ||
+        !read_uint(item, "arrival_us", request.arrival_us, error)) {
+      return fail_in(error, format("request %u: ", request.id));
+    }
     if (request.matrix >= trace.matrix_count) {
       set_error(error, format("request %u: matrix index out of range", request.id));
       return std::nullopt;
@@ -319,12 +354,10 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       set_error(error, format("request %u: unknown kernel", request.id));
       return std::nullopt;
     }
-    request.config = static_cast<u32>(get_u64(item, "config", trace.configs.size()));
     if (request.config >= trace.configs.size()) {
       set_error(error, format("request %u: config index out of range", request.id));
       return std::nullopt;
     }
-    request.arrival_us = get_u64(item, "arrival_us", 0);
     if (request.arrival_us < previous_arrival) {
       set_error(error, format("request %u: arrival_us decreases", request.id));
       return std::nullopt;

@@ -162,11 +162,18 @@ double JsonValue::as_double() const {
   return number_;
 }
 
-i64 JsonValue::as_i64() const { return static_cast<i64>(as_double()); }
+// Both integer reads check the range first: converting a double outside
+// the target type's range is undefined behaviour, not a wrap.
+i64 JsonValue::as_i64() const {
+  const double number = as_double();
+  SMTU_CHECK_MSG(number >= -0x1p63 && number < 0x1p63, "JSON number is out of the i64 range");
+  return static_cast<i64>(number);
+}
 
 u64 JsonValue::as_u64() const {
   const double number = as_double();
   SMTU_CHECK_MSG(number >= 0.0, "JSON number is negative");
+  SMTU_CHECK_MSG(number < 0x1p64, "JSON number exceeds the u64 range");
   return static_cast<u64>(number);
 }
 

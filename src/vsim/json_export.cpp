@@ -10,8 +10,8 @@ namespace smtu::vsim {
 
 namespace {
 
-// One row per counter keeps the writer, the reader, and the docs in lock
-// step: add a RunStats member here and both directions pick it up.
+// One row per counter keeps the writer and the docs in lock step: add a
+// RunStats member here and the JSON picks it up.
 struct StatsField {
   const char* key;
   u64 RunStats::* member;
@@ -44,20 +44,6 @@ void write_run_stats_json(JsonWriter& json, const RunStats& stats) {
     json.value(stats.*field.member);
   }
   json.end_object();
-}
-
-std::optional<RunStats> run_stats_from_json(const JsonValue& value) {
-  if (!value.is_object()) return std::nullopt;
-  const JsonValue* cycles = value.find("cycles");
-  if (cycles == nullptr || !cycles->is_number()) return std::nullopt;
-  RunStats stats;
-  stats.cycles = static_cast<Cycle>(cycles->as_u64());
-  for (const StatsField& field : kU64Fields) {
-    const JsonValue* counter = value.find(field.key);
-    if (counter == nullptr || !counter->is_number()) return std::nullopt;
-    stats.*field.member = counter->as_u64();
-  }
-  return stats;
 }
 
 void write_machine_config_json(JsonWriter& json, const MachineConfig& config) {

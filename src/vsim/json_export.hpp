@@ -25,10 +25,6 @@ namespace smtu::vsim {
 // name. Usable mid-document (the caller owns surrounding structure).
 void write_run_stats_json(JsonWriter& json, const RunStats& stats);
 
-// Rebuilds RunStats from a parsed object produced by write_run_stats_json.
-// Returns nullopt if any counter key is missing or non-numeric.
-std::optional<RunStats> run_stats_from_json(const JsonValue& value);
-
 // Writes the machine configuration knobs that shape timing, so exported
 // measurements are self-describing.
 void write_machine_config_json(JsonWriter& json, const MachineConfig& config);

@@ -25,9 +25,11 @@ Machine& MultiCoreSystem::core(u32 index) {
   return *cores_[index];
 }
 
-void MultiCoreSystem::attach_profiler(u32 core, PerfCounters* profiler) {
-  SMTU_CHECK(core < cores_.size());
-  cores_[core]->attach_profiler(profiler);
+void MultiCoreSystem::attach_profilers(std::vector<PerfCounters>* profilers) {
+  if (profilers == nullptr) return;
+  profilers->clear();
+  profilers->resize(cores_.size());
+  for (usize c = 0; c < cores_.size(); ++c) cores_[c]->attach_profiler(&(*profilers)[c]);
 }
 
 void MultiCoreSystem::attach_trace(ExecutionTrace* trace) {

@@ -54,10 +54,11 @@ class MultiCoreSystem {
   // Core access, e.g. to set per-core entry registers before run().
   Machine& core(u32 index);
 
-  // Attaches a per-core profiler (nullptr detaches). Each core needs its
-  // own PerfCounters: samples interleave across cores, and the per-run
-  // conservation invariant holds per core, not across them.
-  void attach_profiler(u32 core, PerfCounters* profiler);
+  // Resizes a non-null `profilers` to the core count, clearing it first,
+  // and attaches profiler c to core c; nullptr leaves profiling off. Each
+  // core needs its own PerfCounters: samples interleave across cores, and
+  // the per-run conservation invariant holds per core, not across them.
+  void attach_profilers(std::vector<PerfCounters>* profilers);
   // Attaches one shared trace sink to every core; events carry their
   // originating core id.
   void attach_trace(ExecutionTrace* trace);

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "support/json.hpp"
-#include "vsim/json_export.hpp"
+#include "testing.hpp"
 
 namespace smtu {
 namespace {
@@ -108,12 +108,12 @@ TEST(BenchJson, ReproduceAllEmitsSchemaValidArtifact) {
       EXPECT_GT(record.at("crs_cycles").as_u64(), 0u);
       // The embedded cycle statistics round-trip through the RunStats
       // reader, i.e. every counter is present and numeric.
-      const auto hism = vsim::run_stats_from_json(record.at("hism"));
+      const auto hism = testing::run_stats_from_json(record.at("hism"));
       ASSERT_TRUE(hism.has_value());
       EXPECT_EQ(hism->cycles, record.at("hism_cycles").as_u64());
       EXPECT_GT(hism->stm_blocks, 0u);
       EXPECT_GT(hism->vmem_busy_cycles + hism->valu_busy_cycles + hism->stm_busy_cycles, 0u);
-      const auto crs = vsim::run_stats_from_json(record.at("crs"));
+      const auto crs = testing::run_stats_from_json(record.at("crs"));
       ASSERT_TRUE(crs.has_value());
       EXPECT_EQ(crs->cycles, record.at("crs_cycles").as_u64());
       EXPECT_EQ(crs->stm_blocks, 0u);  // the CRS kernel never touches the STM

@@ -65,11 +65,11 @@ TEST(ConfigInvariance, TransposeResultsIdenticalAcrossTimingConfigs) {
   std::vector<Cycle> cycles_seen;
   for (const vsim::MachineConfig& config : timing_variants()) {
     const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto hism_result = kernels::run_hism_transpose(hism, config);
-    EXPECT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected));
-    const auto crs_result = kernels::run_crs_transpose(csr, config);
-    EXPECT_TRUE(coo_equal(crs_result.transposed, expected));
-    cycles_seen.push_back(hism_result.stats.cycles);
+    vsim::RunStats hism_stats;
+    EXPECT_TRUE(coo_equal(
+        testing::simulated_hism_transpose(hism, config, &hism_stats).to_coo(), expected));
+    EXPECT_TRUE(coo_equal(testing::simulated_crs_transpose(csr, config), expected));
+    cycles_seen.push_back(hism_stats.cycles);
   }
   // Sanity: the knobs do change *timing*.
   EXPECT_NE(cycles_seen.front(), cycles_seen[1]);
@@ -99,8 +99,8 @@ TEST(ConfigInvariance, InstructionCountsAreTimingIndependent) {
   const Coo coo = random_coo(100, 100, 700, rng);
   u64 baseline_instructions = 0;
   for (const vsim::MachineConfig& config : timing_variants()) {
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto stats = kernels::time_hism_transpose(hism, config);
+    const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+    const auto stats = kernels::time_hism_transpose(stage, config);
     if (baseline_instructions == 0) {
       baseline_instructions = stats.instructions;
     } else {

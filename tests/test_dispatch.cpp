@@ -469,6 +469,20 @@ TEST(InterpreterCorpus, HismTranspose) {
     hash.update(machine.memory().raw());
     record.hash = hash.hex();
     expect_matches_corpus(record);
+
+    // The kernel's runner attaches a shared snapshot instead of staging into
+    // the machine; it must reproduce the directly staged run exactly.
+    vsim::PerfCounters staged_profiler;
+    HismMatrix staged_result;
+    const vsim::RunStats staged_stats =
+        kernels::time_hism_transpose(kernels::build_hism_stage(hism), config,
+                                     /*split_drain_registers=*/false, nullptr, &staged_profiler,
+                                     &staged_result);
+    const CoreRecord staged = core_record(staged_stats, staged_profiler);
+    EXPECT_EQ(staged.stats, record.cores.front().stats);
+    EXPECT_EQ(staged.stalls, record.cores.front().stalls);
+    EXPECT_EQ(staged.busy, record.cores.front().busy);
+    EXPECT_TRUE(coo_equal(staged_result.to_coo(), input.coo.transposed()));
   }
 }
 
@@ -479,12 +493,13 @@ TEST(InterpreterCorpus, CrsTranspose) {
   for (const Input& input : inputs(test_matrix(23, 300, 280, 2500))) {
     SCOPED_TRACE(input.name);
     vsim::PerfCounters profiler;
-    const kernels::CrsTransposeResult result =
-        kernels::run_crs_transpose(Csr::from_coo(input.coo), config, {}, &profiler);
+    Coo transposed;
+    const vsim::RunStats stats = kernels::time_crs_transpose(
+        kernels::build_crs_stage(Csr::from_coo(input.coo)), config, {}, &profiler, &transposed);
 
-    EXPECT_TRUE(coo_equal(result.transposed, input.coo.transposed()));
-    Record record = machine_record("crs_transpose/" + input.name, result.stats, profiler);
-    record.hash = coo_hash(result.transposed);
+    EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
+    Record record = machine_record("crs_transpose/" + input.name, stats, profiler);
+    record.hash = coo_hash(transposed);
     expect_matches_corpus(record);
   }
 }
@@ -500,11 +515,12 @@ TEST(InterpreterCorpus, SellSpmv) {
     Rng rng(5);
     for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
     std::vector<vsim::PerfCounters> profilers;
-    const kernels::SellSpmvResult result = kernels::run_sell_spmv(sell, x, config, &profilers);
+    std::vector<float> y;
+    const vsim::SystemRunStats stats = kernels::time_sell_spmv(sell, x, config, &profilers, &y);
 
-    EXPECT_TRUE(floats_bit_equal(result.y, sell.spmv(x)));
-    Record record = system_record("sell_spmv/" + input.name, result.stats, profilers);
-    record.hash = floats_hash(result.y);
+    EXPECT_TRUE(floats_bit_equal(y, sell.spmv(x)));
+    Record record = system_record("sell_spmv/" + input.name, stats, profilers);
+    record.hash = floats_hash(y);
     expect_matches_corpus(record);
   }
 }
@@ -519,13 +535,13 @@ TEST(InterpreterCorpus, Spgemm) {
     const Index rows = input.coo.rows();
     const Csr b = Csr::from_coo(test_matrix(48, rows, 120, std::min<usize>(1200, rows * 60)));
     std::vector<vsim::PerfCounters> profilers;
-    const kernels::SpgemmResult result =
-        kernels::run_hism_spgemm(input.coo, b, config, &profilers);
+    std::vector<float> dense;
+    const vsim::SystemRunStats stats =
+        kernels::time_hism_spgemm(input.coo, b, config, &profilers, &dense);
 
-    EXPECT_TRUE(floats_bit_equal(result.dense,
-                                 kernels::spgemm_at_b_reference_dense(input.coo, b)));
-    Record record = system_record("spgemm/" + input.name, result.stats, profilers);
-    record.hash = floats_hash(result.dense);
+    EXPECT_TRUE(floats_bit_equal(dense, kernels::spgemm_at_b_reference_dense(input.coo, b)));
+    Record record = system_record("spgemm/" + input.name, stats, profilers);
+    record.hash = floats_hash(dense);
     expect_matches_corpus(record);
   }
 }
@@ -538,13 +554,14 @@ TEST(InterpreterCorpus, ShardedTransposeFourCores) {
   for (const Input& input : inputs(test_matrix(53, 500, 480, 4000))) {
     SCOPED_TRACE(input.name);
     std::vector<vsim::PerfCounters> profilers;
-    const kernels::ShardedHismTransposeResult result =
-        kernels::run_sharded_hism_transpose(input.coo, config, &profilers);
+    Coo transposed;
+    const vsim::SystemRunStats stats =
+        kernels::time_sharded_hism_transpose(input.coo, config, &profilers, &transposed);
 
-    EXPECT_TRUE(coo_equal(result.transposed, input.coo.transposed()));
-    Record record = system_record("sharded_transpose_4/" + input.name, result.stats, profilers);
+    EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
+    Record record = system_record("sharded_transpose_4/" + input.name, stats, profilers);
     EXPECT_EQ(record.cores.size(), 4u);
-    record.hash = coo_hash(result.transposed);
+    record.hash = coo_hash(transposed);
     expect_matches_corpus(record);
   }
 }

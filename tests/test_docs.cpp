@@ -111,7 +111,8 @@ TEST(Docs, KernelReferenceCoversEveryKernelAndItsRegions) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/KERNELS.md does not mention " << needle;
   }
-  // The run_/time_ runner convention and the bit-identity invariant.
+  // The one-runner convention (time_<kernel>, decode on request) and the
+  // bit-identity invariant.
   EXPECT_NE(doc.find("time_"), std::string::npos);
   EXPECT_NE(doc.find("bit-identical"), std::string::npos);
 
@@ -130,8 +131,8 @@ TEST(Docs, KernelReferenceCoversEveryKernelAndItsRegions) {
 TEST(Docs, FormatReferenceCoversEveryFormat) {
   const std::string doc = read_doc("FORMATS.md");
   ASSERT_FALSE(doc.empty());
-  for (const char* format : {"COO", "CSR", "CSC", "Dense", "ELLPACK", "SELL-C-σ",
-                             "Jagged Diagonal", "HiSM"}) {
+  for (const char* format : {"COO", "CSR", "Dense", "ELLPACK", "SELL-C-σ", "Jagged Diagonal",
+                             "HiSM"}) {
     EXPECT_NE(doc.find(format), std::string::npos)
         << "docs/FORMATS.md does not cover " << format;
   }

@@ -11,6 +11,15 @@ namespace {
 
 using testing::coo_equal;
 using testing::random_coo;
+using testing::simulated_hism_transpose;
+
+// The pipelined kernel's decoded result.
+HismMatrix simulated_pipelined_transpose(const HismMatrix& hism,
+                                         const vsim::MachineConfig& config) {
+  HismMatrix transposed;
+  kernels::time_hism_transpose_pipelined(kernels::build_hism_stage(hism), config, &transposed);
+  return transposed;
+}
 
 TEST(DoubleBuffer, ResultsIdentical) {
   Rng rng(1);
@@ -19,13 +28,15 @@ TEST(DoubleBuffer, ResultsIdentical) {
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
   config.stm.double_buffer = false;
-  const auto single = kernels::run_hism_transpose(hism, config, true);
+  vsim::RunStats single_stats;
+  const HismMatrix single = simulated_hism_transpose(hism, config, &single_stats, true);
   config.stm.double_buffer = true;
-  const auto twin = kernels::run_hism_transpose(hism, config, true);
+  vsim::RunStats twin_stats;
+  const HismMatrix twin = simulated_hism_transpose(hism, config, &twin_stats, true);
 
-  EXPECT_TRUE(coo_equal(single.transposed.to_coo(), coo.transposed()));
-  EXPECT_TRUE(coo_equal(twin.transposed.to_coo(), coo.transposed()));
-  EXPECT_EQ(single.stats.instructions, twin.stats.instructions);
+  EXPECT_TRUE(coo_equal(single.to_coo(), coo.transposed()));
+  EXPECT_TRUE(coo_equal(twin.to_coo(), coo.transposed()));
+  EXPECT_EQ(single_stats.instructions, twin_stats.instructions);
 }
 
 TEST(DoubleBuffer, NeverSlower) {
@@ -34,11 +45,11 @@ TEST(DoubleBuffer, NeverSlower) {
     const Coo coo = random_coo(150, 150, 1500, rng);
     vsim::MachineConfig config;
     config.stm.bandwidth = bandwidth;
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+    const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
     config.stm.double_buffer = false;
-    const u64 single = kernels::time_hism_transpose(hism, config, true).cycles;
+    const u64 single = kernels::time_hism_transpose(stage, config, true).cycles;
     config.stm.double_buffer = true;
-    const u64 twin = kernels::time_hism_transpose(hism, config, true).cycles;
+    const u64 twin = kernels::time_hism_transpose(stage, config, true).cycles;
     EXPECT_LE(twin, single) << "B=" << bandwidth;
   }
 }
@@ -55,10 +66,9 @@ TEST(PipelinedKernel, CorrectAcrossShapes) {
     vsim::MachineConfig config;
     config.stm.double_buffer = true;
     const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto result = kernels::run_hism_transpose_pipelined(hism, config);
-    ASSERT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()))
-        << shape.rows << "x" << shape.cols;
-    ASSERT_TRUE(result.transposed.validate());
+    const HismMatrix result = simulated_pipelined_transpose(hism, config);
+    ASSERT_TRUE(coo_equal(result.to_coo(), coo.transposed())) << shape.rows << "x" << shape.cols;
+    ASSERT_TRUE(result.validate());
   }
 }
 
@@ -70,18 +80,17 @@ TEST(PipelinedKernel, CorrectOnThreeLevelHierarchy) {
   config.stm.double_buffer = true;
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   ASSERT_EQ(hism.num_levels(), 3u);
-  const auto result = kernels::run_hism_transpose_pipelined(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
+  EXPECT_TRUE(coo_equal(simulated_pipelined_transpose(hism, config).to_coo(), coo.transposed()));
 }
 
 TEST(PipelinedKernel, BeatsSequentialKernel) {
   Rng rng(12);
   const Coo coo = random_coo(256, 256, 15000, rng);
   vsim::MachineConfig config;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const u64 sequential = kernels::time_hism_transpose(hism, config).cycles;
+  const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+  const u64 sequential = kernels::time_hism_transpose(stage, config).cycles;
   config.stm.double_buffer = true;
-  const u64 pipelined = kernels::time_hism_transpose_pipelined(hism, config).cycles;
+  const u64 pipelined = kernels::time_hism_transpose_pipelined(stage, config).cycles;
   EXPECT_LT(pipelined, sequential);
   EXPECT_GT(static_cast<double>(sequential) / static_cast<double>(pipelined), 1.3);
 }
@@ -92,20 +101,19 @@ TEST(PipelinedKernel, EmptyAndSingleBlockEdges) {
   config.stm.double_buffer = true;
   // Empty matrix.
   const HismMatrix empty = HismMatrix::from_coo(Coo(64, 64), config.section);
-  EXPECT_EQ(kernels::run_hism_transpose_pipelined(empty, config).transposed.nnz(), 0u);
+  EXPECT_EQ(simulated_pipelined_transpose(empty, config).nnz(), 0u);
   // Single-block matrix (no children to pipeline).
   Rng rng(13);
   const Coo tiny = random_coo(8, 8, 20, rng);
   const HismMatrix single = HismMatrix::from_coo(tiny, config.section);
-  EXPECT_TRUE(coo_equal(
-      kernels::run_hism_transpose_pipelined(single, config).transposed.to_coo(),
-      tiny.transposed()));
+  EXPECT_TRUE(
+      coo_equal(simulated_pipelined_transpose(single, config).to_coo(), tiny.transposed()));
 }
 
 TEST(PipelinedKernelDeathTest, RequiresDoubleBuffer) {
   const vsim::MachineConfig config;  // single buffer
-  const HismMatrix hism = HismMatrix::from_coo(Coo(8, 8), config.section);
-  EXPECT_DEATH(kernels::run_hism_transpose_pipelined(hism, config), "double-buffered");
+  const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(Coo(8, 8), config.section));
+  EXPECT_DEATH(kernels::time_hism_transpose_pipelined(stage, config), "double-buffered");
 }
 
 TEST(DoubleBuffer, SplitRegisterKernelMatchesDefaultKernel) {
@@ -113,10 +121,12 @@ TEST(DoubleBuffer, SplitRegisterKernelMatchesDefaultKernel) {
   const Coo coo = random_coo(100, 100, 800, rng);
   const vsim::MachineConfig config;
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const auto shared = kernels::run_hism_transpose(hism, config, false);
-  const auto split = kernels::run_hism_transpose(hism, config, true);
-  EXPECT_TRUE(coo_equal(shared.transposed.to_coo(), split.transposed.to_coo()));
-  EXPECT_EQ(shared.stats.instructions, split.stats.instructions);
+  vsim::RunStats shared_stats;
+  vsim::RunStats split_stats;
+  const HismMatrix shared = simulated_hism_transpose(hism, config, &shared_stats, false);
+  const HismMatrix split = simulated_hism_transpose(hism, config, &split_stats, true);
+  EXPECT_TRUE(coo_equal(shared.to_coo(), split.to_coo()));
+  EXPECT_EQ(shared_stats.instructions, split_stats.instructions);
 }
 
 }  // namespace

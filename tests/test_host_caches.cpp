@@ -2,23 +2,21 @@
 // matrix stage cache, and the copy-on-write memory snapshots underneath
 // them, plus the content hash the golden tests pin their captures with. The
 // load-bearing property throughout is bit-identical reuse: a cached program
-// or stage must time and decode exactly like a freshly built one.
+// or stage must time and decode exactly like a freshly built one (the
+// InterpreterCorpus golden tests hold staged runs to directly staged
+// records).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "formats/coo.hpp"
-#include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/staging.hpp"
-#include "support/json.hpp"
 #include "testing.hpp"
-#include "vsim/json_export.hpp"
 #include "vsim/memory.hpp"
 #include "vsim/program_cache.hpp"
 
@@ -33,13 +31,6 @@ Coo small_matrix() {
   }
   coo.canonicalize();
   return coo;
-}
-
-std::string stats_json(const vsim::RunStats& stats) {
-  std::ostringstream out;
-  JsonWriter json(out);
-  vsim::write_run_stats_json(json, stats);
-  return out.str();
 }
 
 TEST(SimHash, StableAndSensitive) {
@@ -131,26 +122,6 @@ TEST(MatrixStageCache, RacingLookupsOfOneColdKeyBuildOnce) {
   // One build per layout; every other lookup waited for it or found it.
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 2 * kThreads - 2);
-}
-
-TEST(StagedKernels, MatchUnstagedBitForBit) {
-  const Coo coo = small_matrix();
-  const vsim::MachineConfig config;
-
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const auto hism_stage = kernels::build_hism_stage(hism);
-  EXPECT_EQ(stats_json(kernels::time_hism_transpose(hism, config)),
-            stats_json(kernels::time_hism_transpose(hism_stage, config)));
-
-  const Csr csr = Csr::from_coo(coo);
-  const auto crs_stage = kernels::build_crs_stage(csr);
-  EXPECT_EQ(stats_json(kernels::time_crs_transpose(csr, config)),
-            stats_json(kernels::time_crs_transpose(crs_stage, config)));
-
-  // Results (not just timing) decode identically through the snapshot.
-  const auto direct = kernels::run_crs_transpose(csr, config);
-  const auto staged = kernels::run_crs_transpose(crs_stage, config);
-  EXPECT_TRUE(structurally_equal(direct.transposed, staged.transposed));
 }
 
 TEST(MemoryCow, SnapshotReadsAndPrivatizeOnWrite) {

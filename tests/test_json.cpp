@@ -194,5 +194,13 @@ TEST(JsonDeathTest, MisuseAborts) {
   }
 }
 
+TEST(JsonDeathTest, IntegerReadsOutsideTheTargetRangeAbort) {
+  EXPECT_EQ(parse_json("18446744073709549568")->as_u64(), 18446744073709549568ull);
+  EXPECT_DEATH(parse_json("1e300")->as_u64(), "exceeds the u64 range");
+  EXPECT_DEATH(parse_json("18446744073709551616")->as_u64(), "exceeds the u64 range");
+  EXPECT_DEATH(parse_json("-1")->as_u64(), "negative");
+  EXPECT_DEATH(parse_json("-1e300")->as_i64(), "out of the i64 range");
+}
+
 }  // namespace
 }  // namespace smtu

@@ -11,43 +11,52 @@
 namespace smtu {
 namespace {
 
-using kernels::CrsTransposeResult;
-using kernels::run_crs_transpose;
 using testing::coo_equal;
 using testing::make_coo;
 using testing::random_coo;
+using testing::simulated_crs_transpose;
+
+// The scalar kernel's decoded result (the vector one has a shared shorthand).
+Coo simulated_scalar_crs_transpose(const Coo& coo, vsim::RunStats* stats = nullptr) {
+  Coo transposed;
+  const vsim::RunStats run = kernels::time_scalar_crs_transpose(
+      kernels::build_crs_stage(Csr::from_coo(coo)), {}, nullptr, &transposed);
+  if (stats != nullptr) *stats = run;
+  return transposed;
+}
 
 TEST(CrsKernel, TinyMatrix) {
   const Coo coo = make_coo(4, 4, {{0, 1, 1.0f}, {1, 3, 2.0f}, {2, 0, 3.0f}, {3, 2, 4.0f}});
   const vsim::MachineConfig config;
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), config);
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
-  EXPECT_GT(result.stats.cycles, 0u);
-  EXPECT_EQ(result.stats.stm_blocks, 0u);  // the baseline never touches the STM
+  vsim::RunStats stats;
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), config, &stats);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
+  EXPECT_GT(stats.cycles, 0u);
+  EXPECT_EQ(stats.stm_blocks, 0u);  // the baseline never touches the STM
 }
 
 TEST(CrsKernel, RandomSquare) {
   Rng rng(3);
   const Coo coo = random_coo(200, 200, 1500, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, RandomRectangularWide) {
   Rng rng(4);
   const Coo coo = random_coo(60, 300, 900, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
   const Coo expected = coo.transposed();
-  EXPECT_EQ(result.transposed.rows(), 300u);
-  EXPECT_EQ(result.transposed.cols(), 60u);
-  EXPECT_TRUE(coo_equal(result.transposed, expected));
+  EXPECT_EQ(result.rows(), 300u);
+  EXPECT_EQ(result.cols(), 60u);
+  EXPECT_TRUE(coo_equal(result, expected));
 }
 
 TEST(CrsKernel, RandomRectangularTall) {
   Rng rng(5);
   const Coo coo = random_coo(300, 60, 900, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, RowsLongerThanSection) {
@@ -58,28 +67,28 @@ TEST(CrsKernel, RowsLongerThanSection) {
     for (Index c = 0; c < 150; ++c) coo.add(r, (c * 3 + r) % 256, v += 1.0f);
   }
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, EmptyRowsAndColumns) {
   const Coo coo = make_coo(100, 100, {{0, 99, 1.0f}, {50, 50, 2.0f}, {99, 0, 3.0f}});
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, EmptyMatrix) {
   const Coo coo(32, 32);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_EQ(result.transposed.nnz(), 0u);
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_EQ(result.nnz(), 0u);
 }
 
 TEST(CrsKernel, DiagonalMatrix) {
   Coo coo(128, 128);
   for (Index i = 0; i < 128; ++i) coo.add(i, i, static_cast<float>(i + 1));
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo));  // diagonal is self-transpose
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo));  // diagonal is self-transpose
 }
 
 TEST(CrsKernel, SmallSectionMachine) {
@@ -87,35 +96,30 @@ TEST(CrsKernel, SmallSectionMachine) {
   const Coo coo = random_coo(90, 90, 400, rng);
   vsim::MachineConfig config;
   config.section = 16;
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), config);
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), config);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(ScalarCrsKernel, MatchesReference) {
   Rng rng(20);
   const Coo coo = random_coo(150, 150, 1100, rng);
-  const auto result = kernels::run_scalar_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
-  EXPECT_EQ(result.stats.vector_instructions, 0u);  // pure scalar code
+  vsim::RunStats stats;
+  const Coo result = simulated_scalar_crs_transpose(coo, &stats);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
+  EXPECT_EQ(stats.vector_instructions, 0u);  // pure scalar code
 }
 
 TEST(ScalarCrsKernel, MatchesVectorKernelOutput) {
   Rng rng(21);
   const Coo coo = random_coo(80, 120, 700, rng);
-  const Csr csr = Csr::from_coo(coo);
-  const auto scalar = kernels::run_scalar_crs_transpose(csr, {});
-  const auto vectorized = kernels::run_crs_transpose(csr, {});
-  EXPECT_TRUE(coo_equal(scalar.transposed, vectorized.transposed));
+  EXPECT_TRUE(coo_equal(simulated_scalar_crs_transpose(coo),
+                        simulated_crs_transpose(Csr::from_coo(coo), {})));
 }
 
 TEST(ScalarCrsKernel, EmptyAndEdgeShapes) {
-  EXPECT_EQ(kernels::run_scalar_crs_transpose(Csr::from_coo(Coo(16, 16)), {})
-                .transposed.nnz(),
-            0u);
+  EXPECT_EQ(simulated_scalar_crs_transpose(Coo(16, 16)).nnz(), 0u);
   const Coo single = make_coo(1, 200, {{0, 173, 5.0f}});
-  EXPECT_TRUE(coo_equal(
-      kernels::run_scalar_crs_transpose(Csr::from_coo(single), {}).transposed,
-      single.transposed()));
+  EXPECT_TRUE(coo_equal(simulated_scalar_crs_transpose(single), single.transposed()));
 }
 
 TEST(ScalarCrsKernel, VectorKernelIsFasterOnLongRows) {
@@ -129,9 +133,9 @@ TEST(ScalarCrsKernel, VectorKernelIsFasterOnLongRows) {
     }
   }
   coo.canonicalize();
-  const Csr csr = Csr::from_coo(coo);
-  const u64 scalar_cycles = kernels::time_scalar_crs_transpose(csr, {}).cycles;
-  const u64 vector_cycles = kernels::time_crs_transpose(csr, {}).cycles;
+  const auto stage = kernels::build_crs_stage(Csr::from_coo(coo));
+  const u64 scalar_cycles = kernels::time_scalar_crs_transpose(stage, {}).cycles;
+  const u64 vector_cycles = kernels::time_crs_transpose(stage, {}).cycles;
   EXPECT_LT(vector_cycles, scalar_cycles);
 }
 
@@ -141,8 +145,8 @@ TEST(CrsKernel, MaskedPhase1ProducesSameResult) {
   const Coo coo = random_coo(60, 60, 300, rng);
   kernels::CrsKernelOptions options;
   options.masked_phase1 = true;
-  const auto result = kernels::run_crs_transpose(Csr::from_coo(coo), {}, options);
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {}, nullptr, options);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, ZeroThresholdAllVectorVariantCorrect) {
@@ -150,8 +154,8 @@ TEST(CrsKernel, ZeroThresholdAllVectorVariantCorrect) {
   const Coo coo = random_coo(100, 100, 300, rng);
   kernels::CrsKernelOptions options;
   options.short_row_threshold = 0;
-  const auto result = kernels::run_crs_transpose(Csr::from_coo(coo), {}, options);
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {}, nullptr, options);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(CrsKernel, DenseMatrix) {
@@ -161,8 +165,8 @@ TEST(CrsKernel, DenseMatrix) {
     for (Index c = 0; c < 40; ++c) coo.add(r, c, static_cast<float>(rng.uniform(0.5, 1.5)));
   }
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  const Coo result = simulated_crs_transpose(Csr::from_coo(coo), {});
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 }  // namespace

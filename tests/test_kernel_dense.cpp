@@ -72,18 +72,20 @@ TEST(DenseKernel, TransposesSmallMatrix) {
   for (Index r = 0; r < 3; ++r) {
     for (Index c = 0; c < 5; ++c) dense.at(r, c) = v += 1.0f;
   }
-  const auto result = kernels::run_dense_transpose(dense, {});
-  EXPECT_EQ(result.transposed.rows(), 5u);
-  EXPECT_EQ(result.transposed.cols(), 3u);
-  EXPECT_EQ(result.transposed, dense.transposed());
+  Dense result;
+  kernels::time_dense_transpose(dense, {}, &result);
+  EXPECT_EQ(result.rows(), 5u);
+  EXPECT_EQ(result.cols(), 3u);
+  EXPECT_EQ(result, dense.transposed());
 }
 
 TEST(DenseKernel, TransposesSparsePatternCorrectly) {
   Rng rng(1);
   const Coo coo = random_coo(70, 90, 600, rng);
   const Dense dense = Dense::from_coo(coo);
-  const auto result = kernels::run_dense_transpose(dense, {});
-  EXPECT_EQ(result.transposed, dense.transposed());
+  Dense result;
+  kernels::time_dense_transpose(dense, {}, &result);
+  EXPECT_EQ(result, dense.transposed());
 }
 
 TEST(DenseKernel, CostIsDensityIndependent) {

@@ -17,11 +17,10 @@
 namespace smtu {
 namespace {
 
-using kernels::HismTransposeResult;
-using kernels::run_hism_transpose;
 using testing::coo_equal;
 using testing::make_coo;
 using testing::random_coo;
+using testing::simulated_hism_transpose;
 
 vsim::MachineConfig config_with_section(u32 section) {
   vsim::MachineConfig config;
@@ -37,11 +36,12 @@ TEST(HismKernel, SingleBlockMatrix) {
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   ASSERT_EQ(hism.num_levels(), 1u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
-  EXPECT_TRUE(result.transposed.validate());
-  EXPECT_GT(result.stats.cycles, 0u);
-  EXPECT_EQ(result.stats.stm_blocks, 1u);
+  vsim::RunStats stats;
+  const HismMatrix result = simulated_hism_transpose(hism, config, &stats);
+  EXPECT_TRUE(coo_equal(result.to_coo(), coo.transposed()));
+  EXPECT_TRUE(result.validate());
+  EXPECT_GT(stats.cycles, 0u);
+  EXPECT_EQ(stats.stm_blocks, 1u);
 }
 
 TEST(HismKernel, TwoLevelMatrix) {
@@ -51,10 +51,11 @@ TEST(HismKernel, TwoLevelMatrix) {
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   ASSERT_EQ(hism.num_levels(), 2u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
+  vsim::RunStats stats;
+  const HismMatrix result = simulated_hism_transpose(hism, config, &stats);
+  EXPECT_TRUE(coo_equal(result.to_coo(), coo.transposed()));
   // One block per level-0 array plus two passes over each level>=1 block.
-  EXPECT_GE(result.stats.stm_blocks, hism.level(0).size());
+  EXPECT_GE(stats.stm_blocks, hism.level(0).size());
 }
 
 TEST(HismKernel, ThreeLevelMatrix) {
@@ -64,8 +65,8 @@ TEST(HismKernel, ThreeLevelMatrix) {
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   ASSERT_EQ(hism.num_levels(), 3u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
+  const HismMatrix result = simulated_hism_transpose(hism, config);
+  EXPECT_TRUE(coo_equal(result.to_coo(), coo.transposed()));
 }
 
 TEST(HismKernel, RectangularMatrix) {
@@ -74,8 +75,7 @@ TEST(HismKernel, RectangularMatrix) {
   const vsim::MachineConfig config = config_with_section(16);
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  const Coo transposed = result.transposed.to_coo();
+  const Coo transposed = simulated_hism_transpose(hism, config).to_coo();
   EXPECT_EQ(transposed.rows(), 200u);
   EXPECT_EQ(transposed.cols(), 50u);
   EXPECT_TRUE(coo_equal(transposed, coo.transposed()));
@@ -87,9 +87,9 @@ TEST(HismKernel, DefaultSection64) {
   const vsim::MachineConfig config;  // s = 64, B = 4, L = 4
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), transposed(hism).to_coo()));
+  const HismMatrix result = simulated_hism_transpose(hism, config);
+  EXPECT_TRUE(coo_equal(result.to_coo(), coo.transposed()));
+  EXPECT_TRUE(coo_equal(result.to_coo(), transposed(hism).to_coo()));
 }
 
 TEST(HismKernel, DoubleTransposeIsIdentity) {
@@ -98,9 +98,9 @@ TEST(HismKernel, DoubleTransposeIsIdentity) {
   const vsim::MachineConfig config = config_with_section(16);
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  const HismTransposeResult once = run_hism_transpose(hism, config);
-  const HismTransposeResult twice = run_hism_transpose(once.transposed, config);
-  EXPECT_TRUE(coo_equal(twice.transposed.to_coo(), coo));
+  const HismMatrix once = simulated_hism_transpose(hism, config);
+  const HismMatrix twice = simulated_hism_transpose(once, config);
+  EXPECT_TRUE(coo_equal(twice.to_coo(), coo));
 }
 
 TEST(HismKernel, EmptyMatrix) {
@@ -108,9 +108,10 @@ TEST(HismKernel, EmptyMatrix) {
   const vsim::MachineConfig config = config_with_section(8);
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_EQ(result.transposed.nnz(), 0u);
-  EXPECT_EQ(result.stats.stm_blocks, 0u);
+  vsim::RunStats stats;
+  const HismMatrix result = simulated_hism_transpose(hism, config, &stats);
+  EXPECT_EQ(result.nnz(), 0u);
+  EXPECT_EQ(stats.stm_blocks, 0u);
 }
 
 TEST(HismKernel, TransposesStrictlyInPlace) {
@@ -151,8 +152,8 @@ TEST(HismKernel, BandwidthSweepIsMonotone) {
   for (const u32 bandwidth : {1u, 2u, 4u, 8u}) {
     vsim::MachineConfig config;
     config.stm.bandwidth = bandwidth;
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const u64 cycles = kernels::time_hism_transpose(hism, config).cycles;
+    const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+    const u64 cycles = kernels::time_hism_transpose(stage, config).cycles;
     EXPECT_LE(cycles, previous) << "B=" << bandwidth;
     previous = cycles;
   }
@@ -169,8 +170,8 @@ TEST(HismKernel, DenseBlockMatrix) {
   const vsim::MachineConfig config = config_with_section(8);
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
+  const HismMatrix result = simulated_hism_transpose(hism, config);
+  EXPECT_TRUE(coo_equal(result.to_coo(), coo.transposed()));
 }
 
 }  // namespace

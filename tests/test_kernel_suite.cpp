@@ -17,7 +17,6 @@
 namespace smtu {
 namespace {
 
-using testing::coo_equal;
 using testing::make_coo;
 using testing::random_coo;
 
@@ -48,8 +47,9 @@ TEST(SellSpmvKernel, BitIdenticalToHostCsrAcrossCoreCounts) {
     for (const u32 cores : {1u, 2u, 4u, 8u}) {
       vsim::SystemConfig config;
       config.cores = cores;
-      const kernels::SellSpmvResult result = kernels::run_sell_spmv(sell, x, config);
-      expect_bit_equal(result.y, want, "SELL SpMV");
+      std::vector<float> y;
+      kernels::time_sell_spmv(sell, x, config, nullptr, &y);
+      expect_bit_equal(y, want, "SELL SpMV");
     }
   }
 }
@@ -69,8 +69,9 @@ TEST(SellSpmvKernel, HandlesEmptyRowsAndChunkPadding) {
     vsim::SystemConfig config;
     config.cores = cores;
     const SellCSigma sell = SellCSigma::from_coo(coo, 64, 0);
-    const kernels::SellSpmvResult result = kernels::run_sell_spmv(sell, x, config);
-    expect_bit_equal(result.y, want, "SELL SpMV with empty rows");
+    std::vector<float> y;
+    kernels::time_sell_spmv(sell, x, config, nullptr, &y);
+    expect_bit_equal(y, want, "SELL SpMV with empty rows");
   }
 }
 
@@ -103,10 +104,10 @@ TEST(SpgemmKernel, BitIdenticalToHostReferenceAcrossCoreCounts) {
   for (const u32 cores : {1u, 2u, 4u, 8u}) {
     vsim::SystemConfig config;
     config.cores = cores;
-    const kernels::SpgemmResult result = kernels::run_hism_spgemm(a, b, config);
-    EXPECT_EQ(result.rows, a.cols());
-    EXPECT_EQ(result.cols, b.cols());
-    expect_bit_equal(result.dense, want, "SpGEMM");
+    std::vector<float> dense;
+    kernels::time_hism_spgemm(a, b, config, nullptr, &dense);
+    EXPECT_EQ(dense.size(), static_cast<usize>(a.cols()) * b.cols());
+    expect_bit_equal(dense, want, "SpGEMM");
   }
 }
 
@@ -118,13 +119,15 @@ TEST(SpgemmKernel, ProductMatchesCooReferenceAndHandlesEdgeCases) {
   const Csr b = Csr::from_coo(bcoo);
   vsim::SystemConfig config;
   config.cores = 2;
-  const kernels::SpgemmResult result = kernels::run_hism_spgemm(a, b, config);
-  EXPECT_TRUE(coo_equal(result.product, kernels::spgemm_at_b_reference(a, b)));
+  std::vector<float> dense;
+  kernels::time_hism_spgemm(a, b, config, nullptr, &dense);
+  expect_bit_equal(dense, kernels::spgemm_at_b_reference_dense(a, b), "SpGEMM");
 
   // Empty A: the product is all zeros.
   const Coo empty_a(180, 90);
-  const kernels::SpgemmResult zero = kernels::run_hism_spgemm(empty_a, b, config);
-  EXPECT_EQ(zero.product.nnz(), 0u);
+  kernels::time_hism_spgemm(empty_a, b, config, nullptr, &dense);
+  expect_bit_equal(dense, std::vector<float>(dense.size(), 0.0f), "SpGEMM with empty A");
+  EXPECT_EQ(dense.size(), static_cast<usize>(empty_a.cols()) * b.cols());
 }
 
 TEST(SpgemmKernel, TransposeSemanticsOnASmallKnownProduct) {
@@ -134,11 +137,10 @@ TEST(SpgemmKernel, TransposeSemanticsOnASmallKnownProduct) {
   const Csr b = Csr::from_coo(bcoo);
   vsim::SystemConfig config;
   config.cores = 1;
-  const kernels::SpgemmResult result = kernels::run_hism_spgemm(a, b, config);
-  // A^T = [[1, 0], [2, 3]];  A^T B = [[4, 0], [23, 18]].
-  const Coo want =
-      make_coo(2, 2, {{0, 0, 4.0f}, {1, 0, 23.0f}, {1, 1, 18.0f}});
-  EXPECT_TRUE(coo_equal(result.product, want));
+  std::vector<float> dense;
+  kernels::time_hism_spgemm(a, b, config, nullptr, &dense);
+  // A^T = [[1, 0], [2, 3]];  A^T B = [[4, 0], [23, 18]], row-major.
+  expect_bit_equal(dense, {4.0f, 0.0f, 23.0f, 18.0f}, "A^T B");
 }
 
 }  // namespace

@@ -42,18 +42,17 @@ TEST_P(KernelGrid, AllKernelsProduceTheExactTranspose) {
   const Coo expected = coo.transposed();
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
 
-  EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(hism, config).transposed.to_coo(),
+  EXPECT_TRUE(coo_equal(testing::simulated_hism_transpose(hism, config).to_coo(), expected));
+  EXPECT_TRUE(coo_equal(testing::simulated_hism_transpose(hism, config, nullptr,
+                                                          /*split_drain_registers=*/true)
+                            .to_coo(),
                         expected));
-  EXPECT_TRUE(coo_equal(
-      kernels::run_hism_transpose(hism, config, /*split_drain_registers=*/true)
-          .transposed.to_coo(),
-      expected));
   if (grid.double_buffer) {
-    EXPECT_TRUE(coo_equal(
-        kernels::run_hism_transpose_pipelined(hism, config).transposed.to_coo(), expected));
+    HismMatrix pipelined;
+    kernels::time_hism_transpose_pipelined(kernels::build_hism_stage(hism), config, &pipelined);
+    EXPECT_TRUE(coo_equal(pipelined.to_coo(), expected));
   }
-  EXPECT_TRUE(
-      coo_equal(kernels::run_crs_transpose(Csr::from_coo(coo), config).transposed, expected));
+  EXPECT_TRUE(coo_equal(testing::simulated_crs_transpose(Csr::from_coo(coo), config), expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -145,9 +145,9 @@ rendezvous:
   system.core(0).set_sreg(1, 200);  // 200 spin iterations
   system.core(1).set_sreg(1, 0);
 
-  std::vector<vsim::PerfCounters> profilers(2);
-  system.attach_profiler(0, &profilers[0]);
-  system.attach_profiler(1, &profilers[1]);
+  std::vector<vsim::PerfCounters> profilers;
+  system.attach_profilers(&profilers);
+  ASSERT_EQ(profilers.size(), 2u);
   const vsim::SystemRunStats stats = system.run(program);
 
   EXPECT_EQ(stats.barriers, 1u);
@@ -163,10 +163,12 @@ rendezvous:
 TEST(ShardedHismTranspose, MatchesReferenceAtAllCoreCounts) {
   const Coo coo = test_matrix();
   for (const u32 cores : {1u, 2u, 4u, 8u}) {
-    const auto result = kernels::run_sharded_hism_transpose(coo, system_config(cores));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed())) << cores << " cores";
-    EXPECT_GT(result.stats.cycles, 0u);
-    EXPECT_EQ(result.stats.barriers, 2u);
+    Coo result;
+    const vsim::SystemRunStats stats =
+        kernels::time_sharded_hism_transpose(coo, system_config(cores), nullptr, &result);
+    EXPECT_TRUE(coo_equal(result, coo.transposed())) << cores << " cores";
+    EXPECT_GT(stats.cycles, 0u);
+    EXPECT_EQ(stats.barriers, 2u);
   }
 }
 
@@ -174,9 +176,10 @@ TEST(ShardedHismTranspose, SmallSectionDeepHierarchy) {
   Rng rng(7);
   const Coo coo = random_coo(100, 90, 600, rng);
   for (const u32 cores : {2u, 4u}) {
-    const auto result =
-        kernels::run_sharded_hism_transpose(coo, system_config(cores, /*section=*/8));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed())) << cores << " cores";
+    Coo result;
+    kernels::time_sharded_hism_transpose(coo, system_config(cores, /*section=*/8), nullptr,
+                                         &result);
+    EXPECT_TRUE(coo_equal(result, coo.transposed())) << cores << " cores";
   }
 }
 
@@ -185,8 +188,9 @@ TEST(ShardedHismTranspose, MoreCoresThanBlockRows) {
   // but one gets an empty panel and only rides the barriers.
   Rng rng(9);
   const Coo coo = random_coo(20, 20, 60, rng);
-  const auto result = kernels::run_sharded_hism_transpose(coo, system_config(4));
-  EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
+  Coo result;
+  kernels::time_sharded_hism_transpose(coo, system_config(4), nullptr, &result);
+  EXPECT_TRUE(coo_equal(result, coo.transposed()));
 }
 
 TEST(ShardedHismTranspose, MultiCoreBeatsSingleCore) {
@@ -230,9 +234,11 @@ TEST(ParallelCrsTranspose, MatchesReferenceAtAllCoreCounts) {
   const Coo coo = test_matrix();
   const Csr csr = Csr::from_coo(coo);
   for (const u32 cores : {1u, 2u, 4u, 8u}) {
-    const auto result = kernels::run_parallel_crs_transpose(csr, system_config(cores));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed())) << cores << " cores";
-    EXPECT_EQ(result.stats.barriers, 5u);
+    Coo result;
+    const vsim::SystemRunStats stats =
+        kernels::time_parallel_crs_transpose(csr, system_config(cores), nullptr, &result);
+    EXPECT_TRUE(coo_equal(result, coo.transposed())) << cores << " cores";
+    EXPECT_EQ(stats.barriers, 5u);
   }
 }
 
@@ -256,8 +262,9 @@ TEST(ParallelCrsTranspose, RaggedShapes) {
                                         {37, 211, 900}}) {
     const Coo coo = random_coo(rows, cols, nnz, rng);
     const Csr csr = Csr::from_coo(coo);
-    const auto result = kernels::run_parallel_crs_transpose(csr, system_config(4));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()))
+    Coo result;
+    kernels::time_parallel_crs_transpose(csr, system_config(4), nullptr, &result);
+    EXPECT_TRUE(coo_equal(result, coo.transposed()))
         << rows << "x" << cols << "/" << nnz;
   }
 }

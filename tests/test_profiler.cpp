@@ -310,7 +310,7 @@ TEST(Profiler, CrsHotSpotIsTheIndexedPermuteLoop) {
 
   PerfCounters profile;
   const vsim::MachineConfig config;
-  kernels::time_crs_transpose(csr, config, {}, &profile);
+  kernels::time_crs_transpose(kernels::build_crs_stage(csr), config, {}, &profile);
   EXPECT_EQ(profile.attributed_cycles(), profile.total_cycles());
 
   // The permute loop is the dominant region of the whole kernel.

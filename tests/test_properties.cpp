@@ -1,6 +1,6 @@
 // Property-based / parameterized sweeps across the whole stack: for many
 // (shape, density, section, B, L) combinations, every transpose
-// implementation — COO mirror, CSC relabeling, Pissanetsky on CSR, HiSM
+// implementation — COO mirror, Pissanetsky on CSR, HiSM
 // software reference, and both simulated kernels — must agree, and STM
 // timing invariants must hold. On structured and pathological patterns
 // every simulated kernel class must match its host reference.
@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "formats/csc.hpp"
 #include "formats/csr.hpp"
 #include "formats/sell.hpp"
 #include "hism/transpose.hpp"
@@ -55,7 +54,6 @@ TEST_P(TransposeAgreement, AllPathsAgree) {
   const Coo expected = coo.transposed();
 
   // Host-side references.
-  EXPECT_TRUE(coo_equal(Csc::from_coo(coo).transposed_coo(), expected));
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).transposed_pissanetsky().to_coo(), expected));
 
   const HismMatrix hism = HismMatrix::from_coo(coo, param.section);
@@ -64,12 +62,11 @@ TEST_P(TransposeAgreement, AllPathsAgree) {
   // Simulated kernels.
   vsim::MachineConfig config;
   config.section = param.section;
-  const auto hism_result = kernels::run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected));
-  EXPECT_TRUE(hism_result.transposed.validate());
+  const HismMatrix hism_result = testing::simulated_hism_transpose(hism, config);
+  EXPECT_TRUE(coo_equal(hism_result.to_coo(), expected));
+  EXPECT_TRUE(hism_result.validate());
 
-  const auto crs_result = kernels::run_crs_transpose(Csr::from_coo(coo), config);
-  EXPECT_TRUE(coo_equal(crs_result.transposed, expected));
+  EXPECT_TRUE(coo_equal(testing::simulated_crs_transpose(Csr::from_coo(coo), config), expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -272,21 +269,26 @@ TEST_P(PatternCase, KernelsAgreeOnStructuredMatrices) {
   vsim::MachineConfig config;
   config.section = kSection;
   const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(hism, config).transposed.to_coo(),
-                        expected));
-  EXPECT_TRUE(coo_equal(kernels::run_crs_transpose(csr, config).transposed, expected));
+  EXPECT_TRUE(coo_equal(testing::simulated_hism_transpose(hism, config).to_coo(), expected));
+  EXPECT_TRUE(coo_equal(testing::simulated_crs_transpose(csr, config), expected));
 
   vsim::SystemConfig system;
   system.core = config;
   system.cores = 4;
-  EXPECT_TRUE(coo_equal(kernels::run_sharded_hism_transpose(coo, system).transposed, expected));
-  EXPECT_TRUE(coo_equal(kernels::run_parallel_crs_transpose(csr, system).transposed, expected));
+  Coo sharded;
+  kernels::time_sharded_hism_transpose(coo, system, nullptr, &sharded);
+  EXPECT_TRUE(coo_equal(sharded, expected));
+  Coo parallel;
+  kernels::time_parallel_crs_transpose(csr, system, nullptr, &parallel);
+  EXPECT_TRUE(coo_equal(parallel, expected));
 
   const SellCSigma sell = SellCSigma::from_coo(coo, kSection, 0);
   std::vector<float> x(static_cast<usize>(coo.cols()));
   Rng rng(5);
   for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  EXPECT_TRUE(floats_bit_equal(kernels::run_sell_spmv(sell, x, system).y, sell.spmv(x)));
+  std::vector<float> y;
+  kernels::time_sell_spmv(sell, x, system, nullptr, &y);
+  EXPECT_TRUE(floats_bit_equal(y, sell.spmv(x)));
 
   // C = A^T B with two non-zeros in every row of B, so every non-zero of A
   // contributes to C.
@@ -297,8 +299,9 @@ TEST_P(PatternCase, KernelsAgreeOnStructuredMatrices) {
   }
   b_coo.canonicalize();
   const Csr b = Csr::from_coo(b_coo);
-  EXPECT_TRUE(floats_bit_equal(kernels::run_hism_spgemm(coo, b, system).dense,
-                               kernels::spgemm_at_b_reference_dense(coo, b)));
+  std::vector<float> product;
+  kernels::time_hism_spgemm(coo, b, system, nullptr, &product);
+  EXPECT_TRUE(floats_bit_equal(product, kernels::spgemm_at_b_reference_dense(coo, b)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, PatternCase, ::testing::Range(0, 9));

@@ -168,6 +168,50 @@ TEST(ServeTrace, ParseRejectsDecreasingArrivals) {
   EXPECT_NE(error.find("decreases"), std::string::npos) << error;
 }
 
+// Numbers that do not fit their field are parse errors, not silent
+// truncation (a u32 index of 2^32 used to read back as 0) or undefined
+// float-to-integer conversions.
+std::string with_field(const std::string& key, const std::string& number) {
+  std::string text = trace_to_string(tiny_trace());
+  const std::string needle = "\"" + key + "\":";
+  const auto at = text.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  const auto begin = at + needle.size();
+  text.replace(begin, text.find_first_of(",}", begin) - begin, number);
+  return text;
+}
+
+TEST(ServeTrace, ParseRejectsMatrixIndexBeyondU32) {
+  std::string error;
+  EXPECT_FALSE(parse_string(with_field("matrix", "4294967296"), &error).has_value());
+  EXPECT_NE(error.find("\"matrix\" is not an unsigned 32-bit integer"), std::string::npos)
+      << error;
+}
+
+TEST(ServeTrace, ParseRejectsSeedBeyondU64) {
+  std::string error;
+  EXPECT_FALSE(parse_string(with_field("seed", "1e300"), &error).has_value());
+  EXPECT_NE(error.find("\"seed\" is not an unsigned 64-bit integer"), std::string::npos)
+      << error;
+}
+
+TEST(ServeTrace, ParseRejectsNegativeArrival) {
+  std::string error;
+  EXPECT_FALSE(parse_string(with_field("arrival_us", "-1"), &error).has_value());
+  EXPECT_NE(error.find("request 0: \"arrival_us\""), std::string::npos) << error;
+}
+
+TEST(ServeTrace, ParseRejectsOutOfRangeConfigFields) {
+  for (const char* key : {"config", "section", "stm_bandwidth", "stm_lines"}) {
+    for (const char* number : {"4294967296", "2.5", "-3"}) {
+      std::string error;
+      EXPECT_FALSE(parse_string(with_field(key, number), &error).has_value())
+          << key << "=" << number;
+      EXPECT_NE(error.find(std::string("\"") + key + "\" is not"), std::string::npos) << error;
+    }
+  }
+}
+
 // ---- the virtual-time scheduler in isolation -------------------------------
 
 Request request_at(u32 id, u32 matrix, u64 arrival_us, Kernel kernel = Kernel::kHism,

@@ -10,6 +10,7 @@
 #include "vsim/assembler.hpp"
 #include "vsim/json_export.hpp"
 #include "vsim/machine.hpp"
+#include "testing.hpp"
 #include "vsim/trace.hpp"
 
 namespace smtu {
@@ -47,7 +48,7 @@ TEST(RunStatsJson, RoundTripsEveryCounter) {
   const vsim::RunStats stats = distinct_stats();
   const auto doc = parse_json(to_json(stats));
   ASSERT_TRUE(doc.has_value());
-  const auto back = vsim::run_stats_from_json(*doc);
+  const auto back = testing::run_stats_from_json(*doc);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->cycles, stats.cycles);
   EXPECT_EQ(back->instructions, stats.instructions);
@@ -74,14 +75,14 @@ TEST(RunStatsJson, RejectsMissingOrNonNumericCounter) {
     std::vector<JsonValue::Member> members = doc->members();
     members.erase(members.begin() + static_cast<std::ptrdiff_t>(skip));
     EXPECT_FALSE(
-        vsim::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
+        testing::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
   }
 
   std::vector<JsonValue::Member> members = doc->members();
   members[0].second = JsonValue::make_string("not a number");
   EXPECT_FALSE(
-      vsim::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
-  EXPECT_FALSE(vsim::run_stats_from_json(JsonValue::make_number(3.0)).has_value());
+      testing::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
+  EXPECT_FALSE(testing::run_stats_from_json(JsonValue::make_number(3.0)).has_value());
 }
 
 TEST(MachineConfigJson, EmitsTimingKnobsAndStmBlock) {

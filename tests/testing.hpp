@@ -4,14 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "formats/coo.hpp"
+#include "formats/csr.hpp"
+#include "hism/hism.hpp"
+#include "kernels/crs_transpose.hpp"
+#include "kernels/hism_transpose.hpp"
+#include "kernels/staging.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "vsim/machine.hpp"
 
 namespace smtu::testing {
 
@@ -55,6 +64,63 @@ inline ::testing::AssertionResult floats_bit_equal(const std::vector<float>& lhs
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+// Most kernel tests are about the decoded result. These stage the matrix,
+// run the kernel's one runner with a decode output and return what it
+// decoded; a non-null `stats` receives the run's statistics.
+inline HismMatrix simulated_hism_transpose(const HismMatrix& hism,
+                                           const vsim::MachineConfig& config,
+                                           vsim::RunStats* stats = nullptr,
+                                           bool split_drain_registers = false) {
+  HismMatrix transposed;
+  const vsim::RunStats run = kernels::time_hism_transpose(
+      kernels::build_hism_stage(hism), config, split_drain_registers, nullptr, nullptr,
+      &transposed);
+  if (stats != nullptr) *stats = run;
+  return transposed;
+}
+
+inline Coo simulated_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
+                                   vsim::RunStats* stats = nullptr,
+                                   const kernels::CrsKernelOptions& options = {}) {
+  Coo transposed;
+  const vsim::RunStats run = kernels::time_crs_transpose(kernels::build_crs_stage(csr), config,
+                                                         options, nullptr, &transposed);
+  if (stats != nullptr) *stats = run;
+  return transposed;
+}
+
+// Rebuilds RunStats from a parsed object written by vsim::write_run_stats_json.
+// Returns nullopt if any counter key is missing or non-numeric. The key list
+// is spelled out here, apart from the writer's, so a round trip checks the
+// writer against it.
+inline std::optional<vsim::RunStats> run_stats_from_json(const JsonValue& value) {
+  using vsim::RunStats;
+  static constexpr std::pair<const char*, u64 RunStats::*> kFields[] = {
+      {"cycles", &RunStats::cycles},
+      {"instructions", &RunStats::instructions},
+      {"scalar_instructions", &RunStats::scalar_instructions},
+      {"vector_instructions", &RunStats::vector_instructions},
+      {"vector_elements", &RunStats::vector_elements},
+      {"mem_contiguous_bytes", &RunStats::mem_contiguous_bytes},
+      {"mem_indexed_elements", &RunStats::mem_indexed_elements},
+      {"stm_blocks", &RunStats::stm_blocks},
+      {"stm_write_cycles", &RunStats::stm_write_cycles},
+      {"stm_read_cycles", &RunStats::stm_read_cycles},
+      {"stm_elements", &RunStats::stm_elements},
+      {"vmem_busy_cycles", &RunStats::vmem_busy_cycles},
+      {"valu_busy_cycles", &RunStats::valu_busy_cycles},
+      {"stm_busy_cycles", &RunStats::stm_busy_cycles},
+  };
+  if (!value.is_object()) return std::nullopt;
+  RunStats stats;
+  for (const auto& [key, member] : kFields) {
+    const JsonValue* counter = value.find(key);
+    if (counter == nullptr || !counter->is_number()) return std::nullopt;
+    stats.*member = counter->as_u64();
+  }
+  return stats;
 }
 
 // 128-bit content hash as 32 lowercase hex digits (two FNV-1a-64 streams
