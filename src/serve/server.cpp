@@ -5,6 +5,7 @@
 #include <deque>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <queue>
 #include <unordered_set>
 
@@ -264,24 +265,80 @@ class VirtualScheduler {
 
 // ---- host execution --------------------------------------------------------
 
+// The staged matrices one replay simulates against, resolved once per
+// distinct (matrix, layout, section). A MatrixStageCache lookup hashes the
+// matrix's whole COO before it finds its entry, so looking the stage up per
+// request would cost O(nnz) on every warm request. The first use of a slot
+// does the lookup (building the stage on a cache miss); racing first uses
+// wait for it instead of looking up again. The slots share the stages the
+// process-wide cache already keeps alive.
+class ReplayStages {
+ public:
+  ReplayStages(const Trace& trace, const std::vector<suite::SuiteMatrix>& set)
+      : trace_(trace), set_(set), crs_(set.size()) {
+    // HiSM layouts depend on the section only: configs sharing a section
+    // share a slot.
+    std::vector<u32> sections;
+    for (const ConfigSpec& spec : trace.configs) {
+      const auto it = std::find(sections.begin(), sections.end(), spec.section);
+      section_slot_.push_back(static_cast<u32>(it - sections.begin()));
+      if (it == sections.end()) sections.push_back(spec.section);
+    }
+    sections_ = sections.size();
+    hism_ = std::vector<Slot<kernels::HismStage>>(set.size() * sections_);
+  }
+  // Pool workers hold a reference for the whole replay.
+  ReplayStages(const ReplayStages&) = delete;
+  ReplayStages& operator=(const ReplayStages&) = delete;
+
+  const kernels::HismStage& hism(u32 matrix, u32 config) {
+    Slot<kernels::HismStage>& slot = hism_[matrix * sections_ + section_slot_[config]];
+    std::call_once(slot.once, [&] {
+      slot.stage = kernels::MatrixStageCache::instance().hism(set_[matrix].matrix,
+                                                              trace_.configs[config].section);
+    });
+    return *slot.stage;
+  }
+
+  const kernels::CrsStage& crs(u32 matrix) {
+    Slot<kernels::CrsStage>& slot = crs_[matrix];
+    std::call_once(slot.once, [&] {
+      slot.stage = kernels::MatrixStageCache::instance().crs(set_[matrix].matrix);
+    });
+    return *slot.stage;
+  }
+
+ private:
+  template <typename Stage>
+  struct Slot {
+    std::once_flag once;
+    std::shared_ptr<const Stage> stage;
+  };
+
+  const Trace& trace_;
+  const std::vector<suite::SuiteMatrix>& set_;
+  std::vector<u32> section_slot_;  // config index -> its section's slot
+  usize sections_ = 0;             // distinct sections among the configs
+  std::vector<Slot<kernels::HismStage>> hism_;  // matrix-major, one per section
+  std::vector<Slot<kernels::CrsStage>> crs_;    // one per matrix
+};
+
 // One full simulation of `key` on this thread; returns its cycle count.
-// Stage and program lookups go through the process-wide caches.
-u64 simulate_key(const SimKey& key, const Trace& trace,
-                 const std::vector<suite::SuiteMatrix>& set) {
+// Stages come from the replay's table, programs from the process-wide
+// ProgramCache.
+u64 simulate_key(const SimKey& key, const Trace& trace, ReplayStages& stages) {
   static telemetry::LatencyHistogram& sim_wall = telemetry::histogram("serve.sim_wall_us");
   telemetry::HostSpan span("serve.sim_wall_us", sim_wall);
   const vsim::MachineConfig config = machine_config_for(trace.configs[key.config]);
-  const suite::SuiteMatrix& entry = set[key.matrix];
   if (key.kernel == Kernel::kHism) {
-    const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-    return kernels::time_hism_transpose(*stage, config).cycles;
+    return kernels::time_hism_transpose(stages.hism(key.matrix, key.config), config).cycles;
   }
-  const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-  return kernels::time_crs_transpose(*stage, config).cycles;
+  return kernels::time_crs_transpose(stages.crs(key.matrix), config).cycles;
 }
 
 std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
     const Trace& trace, const std::vector<suite::SuiteMatrix>& set, const ServeOptions& options) {
+  ReplayStages stages(trace, set);
   // Distinct keys only, grouped by matrix (then kernel, then config) so
   // consecutive simulations share staged images and programs; the shared
   // result fans out to every duplicate request.
@@ -297,7 +354,7 @@ std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
   });
   ThreadPool pool(options.batching ? options.jobs : 1);
   const std::vector<u64> cycles = parallel_map(pool, keys, [&](const SimKey& key) {
-    return simulate_key(key, trace, set);
+    return simulate_key(key, trace, stages);
   });
   std::unordered_map<SimKey, u64, SimKeyHash> key_cycles;
   key_cycles.reserve(keys.size());
@@ -386,10 +443,11 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
     // The naive loop: one full simulation per request. With batching the
     // requests still fan over the pool; without it (the HOST_serve_naive
     // baseline) they run serially in arrival order.
+    ReplayStages stages(trace, set);
     ThreadPool pool(options.batching ? options.jobs : 1);
     const std::vector<u64> cycles =
         parallel_map(pool, trace.requests, [&](const Request& request) {
-          return simulate_key(key_of(request), trace, set);
+          return simulate_key(key_of(request), trace, stages);
         });
     for (usize i = 0; i < trace.requests.size(); ++i) {
       key_cycles[key_of(trace.requests[i])] = cycles[i];

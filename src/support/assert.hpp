@@ -4,6 +4,12 @@
 // structural invariants (block bounds, format consistency) that silent release
 // builds must not skip. SMTU_DCHECK compiles out in NDEBUG builds and is meant
 // for hot inner loops only.
+//
+// The failure path is cold and takes no std::string for a literal or absent
+// detail: SMTU_CHECK and SMTU_CHECK_MSG with a string literal pass plain
+// pointers, so a hot caller (every interpreter handler checks register
+// indices) sets up no stack frame for a branch it never takes. A computed
+// std::string detail picks the std::string overload.
 #pragma once
 
 #include <string>
@@ -11,16 +17,19 @@
 namespace smtu {
 
 // Prints the failure (expression, location, optional detail) and aborts.
-[[noreturn]] void assertion_failure(const char* expr, const char* file, int line,
-                                    const std::string& detail);
+// A null or empty detail prints no detail line.
+[[noreturn, gnu::cold]] void assertion_failure(const char* expr, const char* file, int line,
+                                               const char* detail);
+[[noreturn, gnu::cold]] void assertion_failure(const char* expr, const char* file, int line,
+                                               const std::string& detail);
 
 }  // namespace smtu
 
-#define SMTU_CHECK(expr)                                            \
-  do {                                                              \
-    if (!(expr)) [[unlikely]] {                                     \
-      ::smtu::assertion_failure(#expr, __FILE__, __LINE__, {});     \
-    }                                                               \
+#define SMTU_CHECK(expr)                                                 \
+  do {                                                                   \
+    if (!(expr)) [[unlikely]] {                                          \
+      ::smtu::assertion_failure(#expr, __FILE__, __LINE__, nullptr);     \
+    }                                                                    \
   } while (false)
 
 #define SMTU_CHECK_MSG(expr, detail)                                      \

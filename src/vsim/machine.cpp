@@ -51,16 +51,25 @@ constexpr u32 ceil_rate(u64 amount, u64 per_cycle) {
   return static_cast<u32>(ceil_div(amount, per_cycle));
 }
 
-// Shared front of every handler: budget check, instruction count, optional
-// stderr trace. Returns the watermark before this instruction (the
-// profiler's conservation bracket).
+// Machine::enable_trace's stderr line, kept out of line: it formats a
+// string, and only the observed handlers can reach it.
+[[gnu::cold, gnu::noinline]] void print_trace_line(usize pc, const Instruction& inst) {
+  std::fprintf(stderr, "[trace] pc=%zu %s\n", pc, to_string(inst).c_str());
+}
+
+// Shared front of every handler: budget check, instruction count, and (in
+// the observed instantiation) the optional stderr trace. Returns the
+// watermark before this instruction (the profiler's conservation bracket).
+template <bool kObserved>
 inline Cycle step_prologue(ExecState& es, const Instruction& inst) {
   SMTU_CHECK_MSG(es.stats.instructions < es.max_instructions,
                  "instruction budget exceeded (runaway program?)");
   ++es.stats.instructions;
-  if (es.trace_remaining > 0) [[unlikely]] {
-    --es.trace_remaining;
-    std::fprintf(stderr, "[trace] pc=%zu %s\n", es.pc, to_string(inst).c_str());
+  if constexpr (kObserved) {
+    if (es.trace_remaining > 0) [[unlikely]] {
+      --es.trace_remaining;
+      print_trace_line(es.pc, inst);
+    }
   }
   return es.watermark;
 }
@@ -363,10 +372,11 @@ inline u32 exec_vector_body(ExecState& es, const Instruction& inst) {
 // hazards, issue slots, unit occupancy, chaining, STM bank ordering, bank
 // contention, then the functional body. The per-opcode instantiation lets
 // the unit/startup/trace classification and the STM special cases resolve
-// at compile time.
-template <Op OP>
+// at compile time; kObserved = false compiles out the trace and profiler
+// hooks (the stall reason and profile brackets are then dead code).
+template <Op OP, bool kObserved>
 void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  const Cycle profile_w_before = step_prologue(es, inst);
+  const Cycle profile_w_before = step_prologue<kObserved>(es, inst);
   ++es.stats.vector_instructions;
   es.stats.vector_elements += es.vl;
 
@@ -496,12 +506,14 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     es.stats.stm_busy_cycles += busy;
   }
 
-  if (es.trace_sink != nullptr) [[unlikely]] {
-    constexpr TraceUnit kTraceUnit = kUnit == ExecUnit::kVMem   ? TraceUnit::kVMem
-                                     : kUnit == ExecUnit::kVAlu ? TraceUnit::kVAlu
-                                                                : TraceUnit::kStm;
-    es.trace_sink->record(
-        {es.pc, OP, es.vl, kTraceUnit, t_issue, t_start, first_out, last_out, es.core_id});
+  if constexpr (kObserved) {
+    if (es.trace_sink != nullptr) [[unlikely]] {
+      constexpr TraceUnit kTraceUnit = kUnit == ExecUnit::kVMem   ? TraceUnit::kVMem
+                                       : kUnit == ExecUnit::kVAlu ? TraceUnit::kVAlu
+                                                                  : TraceUnit::kStm;
+      es.trace_sink->record(
+          {es.pc, OP, es.vl, kTraceUnit, t_issue, t_start, first_out, last_out, es.core_id});
+    }
   }
   for (u32 i = 0; i < dec.num_dsts; ++i) {
     const u8 r = dec.dsts[i];
@@ -524,22 +536,24 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     es.retire_scalar(inst.a, last_out + 1);
   }
   es.bump_watermark(last_out);
-  if (es.profiler != nullptr) {
-    constexpr BusyKind kBusy =
-        kUnit == ExecUnit::kVMem
-            ? (op_indexed_vmem(OP) ? BusyKind::kVMemIndexed : BusyKind::kVMemStream)
-            : (kUnit == ExecUnit::kStm ? BusyKind::kStm : BusyKind::kVAlu);
-    es.profiler->record({es.pc, OP, es.vl, kBusy, stall_why, t_start, profile_unblocked,
-                         profile_w_before, es.watermark, busy});
+  if constexpr (kObserved) {
+    if (es.profiler != nullptr) {
+      constexpr BusyKind kBusy =
+          kUnit == ExecUnit::kVMem
+              ? (op_indexed_vmem(OP) ? BusyKind::kVMemIndexed : BusyKind::kVMemStream)
+              : (kUnit == ExecUnit::kStm ? BusyKind::kStm : BusyKind::kVAlu);
+      es.profiler->record({es.pc, OP, es.vl, kBusy, stall_why, t_start, profile_unblocked,
+                           profile_w_before, es.watermark, busy});
+    }
   }
   ++es.pc;
 }
 
 // Full execution of one scalar instruction: hazards, issue slot, memory
-// port, functional body, retirement, trace/profile.
-template <Op OP>
+// port, functional body, retirement, and (observed only) trace/profile.
+template <Op OP, bool kObserved>
 void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  const Cycle profile_w_before = step_prologue(es, inst);
+  const Cycle profile_w_before = step_prologue<kObserved>(es, inst);
   ++es.stats.scalar_instructions;
   Cycle ready = es.pc_redirect;
   StallReason stall_why = StallReason::kScalarFetch;
@@ -704,41 +718,47 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   } else {
     static_assert(always_false_op<OP>, "unhandled scalar op in execute");
   }
-  if (es.trace_sink != nullptr) [[unlikely]] {
-    const Cycle done = inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue;
-    es.trace_sink->record({es.pc, OP, 0, TraceUnit::kScalar, t_issue, t_issue,
-                           std::max(t_issue, done), std::max(t_issue, done), es.core_id});
-  }
-  if (es.profiler != nullptr) {
-    es.profiler->record({es.pc, OP, 0, BusyKind::kScalar, stall_why, t_issue,
-                         profile_unblocked, profile_w_before, es.watermark, 1});
+  if constexpr (kObserved) {
+    if (es.trace_sink != nullptr) [[unlikely]] {
+      const Cycle done = inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue;
+      es.trace_sink->record({es.pc, OP, 0, TraceUnit::kScalar, t_issue, t_issue,
+                             std::max(t_issue, done), std::max(t_issue, done), es.core_id});
+    }
+    if (es.profiler != nullptr) {
+      es.profiler->record({es.pc, OP, 0, BusyKind::kScalar, stall_why, t_issue,
+                           profile_unblocked, profile_w_before, es.watermark, 1});
+    }
   }
   es.pc = next_pc;
 }
 
-template <Op OP>
+template <Op OP, bool kObserved>
 void op_entry(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
   if constexpr (op_is_vector(OP)) {
-    exec_vector<OP>(es, inst, dec);
+    exec_vector<OP, kObserved>(es, inst, dec);
   } else {
-    exec_scalar<OP>(es, inst, dec);
+    exec_scalar<OP, kObserved>(es, inst, dec);
   }
 }
 
-template <usize... Is>
+// Both handler tables come from the one op_entry template: a handler edit
+// is made once, in the template, and lands in both.
+template <bool kObserved, usize... Is>
 constexpr std::array<OpHandler, kOpCount> make_handler_table(std::index_sequence<Is...>) {
-  return {&op_entry<static_cast<Op>(Is)>...};
+  return {&op_entry<static_cast<Op>(Is), kObserved>...};
 }
 
 constexpr std::array<OpHandler, kOpCount> kHandlerTable =
-    make_handler_table(std::make_index_sequence<kOpCount>{});
+    make_handler_table<false>(std::make_index_sequence<kOpCount>{});
+constexpr std::array<OpHandler, kOpCount> kObservedHandlerTable =
+    make_handler_table<true>(std::make_index_sequence<kOpCount>{});
 
 }  // namespace
 
-OpHandler opcode_handler(Op op) {
+OpHandler opcode_handler(Op op, bool observed) {
   const usize index = static_cast<usize>(op);
   SMTU_CHECK_MSG(index < kOpCount, "opcode out of range");
-  return kHandlerTable[index];
+  return observed ? kObservedHandlerTable[index] : kHandlerTable[index];
 }
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
@@ -829,6 +849,9 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
   stm_before_ = es_.stm->stats();
   es_.pc = entry_pc;
   es_.status = StepStatus::kRunning;
+  // The handler table for this run: observed when anything would record or
+  // print, so the common unobserved run carries no hook branches.
+  observed_ = es_.profiler != nullptr || es_.trace_sink != nullptr || es_.trace_remaining > 0;
   if (es_.profiler != nullptr) es_.profiler->begin_run(program);
 }
 
@@ -838,7 +861,7 @@ StepStatus Machine::step() {
   SMTU_CHECK_MSG(es_.pc < es_.program_size,
                  "pc ran off the end of the program (missing halt?)");
   const DecodedInst& dec = es_.decoded[es_.pc];
-  dec.handler(es_, es_.insts[es_.pc], dec);
+  (observed_ ? dec.observed_handler : dec.handler)(es_, es_.insts[es_.pc], dec);
   return es_.status;
 }
 
@@ -877,8 +900,8 @@ RunStats Machine::finish_run() {
   return es_.stats;
 }
 
-RunStats Machine::run(const Program& program, usize entry_pc) {
-  begin_run(program, entry_pc);
+template <bool kObserved>
+void Machine::run_to_halt() {
   // The hot loop: indirect call through the pre-bound handler, no
   // per-instruction status branching beyond the exit check.
   ExecState& es = es_;
@@ -886,12 +909,21 @@ RunStats Machine::run(const Program& program, usize entry_pc) {
     SMTU_CHECK_MSG(es.pc < es.program_size,
                    "pc ran off the end of the program (missing halt?)");
     const DecodedInst& dec = es.decoded[es.pc];
-    dec.handler(es, es.insts[es.pc], dec);
+    (kObserved ? dec.observed_handler : dec.handler)(es, es.insts[es.pc], dec);
     if (es.status != StepStatus::kRunning) [[unlikely]] {
       if (es.status == StepStatus::kHalted) break;
       // A lone core's barrier releases the moment it arrives.
       release_barrier(es.barrier_arrival);
     }
+  }
+}
+
+RunStats Machine::run(const Program& program, usize entry_pc) {
+  begin_run(program, entry_pc);
+  if (observed_) {
+    run_to_halt<true>();
+  } else {
+    run_to_halt<false>();
   }
   return finish_run();
 }

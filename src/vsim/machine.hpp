@@ -31,10 +31,15 @@
 // memory accesses and the `barrier` rendezvous.
 //
 // Dispatch is threaded-code style (HACKING.md "Interpreter internals"):
-// every predecoded instruction carries a per-opcode handler pointer bound
+// every predecoded instruction carries per-opcode handler pointers bound
 // at assembly time, and all hot interpreter state lives in one SoA
-// ExecState the handlers receive directly. A golden corpus of per-kernel
-// stats, profiles and result hashes pins every handler's behaviour.
+// ExecState the handlers receive directly. Each handler exists in two
+// instantiations of one template: an observed one that feeds an attached
+// profiler, execution trace or stderr trace, and an unobserved one with
+// those hooks compiled out. begin_run() picks one for the whole run from
+// what is attached; both run() and step() dispatch through that choice.
+// A golden corpus of per-kernel stats, profiles and result hashes pins
+// every handler's behaviour in both instantiations.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +77,8 @@ struct RunStats {
   u64 vmem_busy_cycles = 0;
   u64 valu_busy_cycles = 0;
   u64 stm_busy_cycles = 0;
+
+  friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
 // Human-readable multi-line digest (cycles, instruction mix, unit
@@ -250,6 +257,10 @@ class Machine {
   std::span<const u32> vreg(u32 index) const;
   u32 vl() const { return es_.vl; }
 
+  // The observers below take effect at the next run()/begin_run(), which
+  // selects the observed handlers when any of them is active and the
+  // hook-free ones otherwise.
+
   // Prints executed instructions (at most `max_lines`) to stderr.
   void enable_trace(u64 max_lines) { es_.trace_remaining = max_lines; }
 
@@ -270,7 +281,8 @@ class Machine {
   RunStats run(const Program& program, usize entry_pc = 0);
 
   // ---- Step-mode interface (MultiCoreSystem scheduling) -------------------
-  // Resets timing state and statistics for a new run of `program`.
+  // Resets timing state and statistics for a new run of `program` and
+  // picks the run's handler table (observed or not).
   void begin_run(const Program& program, usize entry_pc = 0);
   // Executes exactly one instruction of the current run.
   StepStatus step();
@@ -291,6 +303,9 @@ class Machine {
 
  private:
   void init_exec_state();
+  // run()'s dispatch loop over one handler table.
+  template <bool kObserved>
+  void run_to_halt();
 
   MachineConfig config_;
   // Owning mode keeps its memory/STM here; core mode leaves these null.
@@ -300,6 +315,7 @@ class Machine {
   // Step-mode run state (valid between begin_run and finish_run).
   std::vector<DecodedInst> local_decode_;
   StmUnit::Stats stm_before_;
+  bool observed_ = false;  // this run dispatches through observed_handler
 
   ExecState es_;
 };

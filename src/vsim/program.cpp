@@ -216,7 +216,8 @@ DecodedInst decode_instruction(const Instruction& inst) {
   // Bind the threaded-dispatch target once per static instruction; the
   // handlers index register-timing arrays with these numbers, so validate
   // them here rather than per dynamic execution.
-  d.handler = opcode_handler(inst.op);
+  d.handler = opcode_handler(inst.op, /*observed=*/false);
+  d.observed_handler = opcode_handler(inst.op, /*observed=*/true);
   for (u32 i = 0; i < d.num_sregs; ++i) {
     SMTU_CHECK_MSG(d.sregs[i] < kNumScalarRegs, "scalar register out of range");
   }

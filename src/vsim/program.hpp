@@ -104,9 +104,16 @@ struct ExecState;
 // kind, operand register lists) is computed once at assembly time instead
 // of per dynamic execution. Register numbers are resolved from the
 // Instruction fields, in the same order the Machine's hazard checks
-// evaluated them. `handler` is the threaded-code dispatch target: a
-// per-opcode function that executes the instruction end to end (timing
-// model + functional semantics) and advances es.pc.
+// evaluated them.
+//
+// `handler` and `observed_handler` are the threaded-code dispatch targets:
+// two instantiations of one per-opcode template that executes the
+// instruction end to end (timing model + functional semantics) and
+// advances es.pc. They differ only in the hooks: `observed_handler` feeds
+// an attached PerfCounters, ExecutionTrace or enable_trace budget, while
+// `handler` compiles those branches out. Machine::begin_run picks one of
+// the two for the whole run from what is attached, so a predecoded Program
+// stays immutable and shareable (ProgramCache) whichever way it runs.
 struct DecodedInst {
   bool is_vector = false;
   bool indexed_vmem = false;  // 1-element/cycle vmem access (v_ldx/v_stx/v_lds/v_sts)
@@ -120,15 +127,18 @@ struct DecodedInst {
   u8 srcs[3] = {0, 0, 0};
   u8 dsts[2] = {0, 0};
   void (*handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
+  void (*observed_handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
 };
 
 // Pre-bound per-opcode execute handler (see DecodedInst::handler).
 using OpHandler = void (*)(ExecState&, const Instruction&, const DecodedInst&);
 
-// The handler for one opcode, from the process-global per-opcode table
-// (defined next to the Machine in machine.cpp). Stable for the process
-// lifetime, so predecoded programs cached by ProgramCache stay valid.
-OpHandler opcode_handler(Op op);
+// The handler for one opcode, from one of the two process-global
+// per-opcode tables (defined next to the Machine in machine.cpp): the
+// observed table when `observed`, else the hook-free one. Stable for the
+// process lifetime, so predecoded programs cached by ProgramCache stay
+// valid.
+OpHandler opcode_handler(Op op, bool observed);
 
 // Predecode of a single instruction / an instruction sequence. Machine::run
 // uses Program::decoded when present and falls back to decoding on the fly

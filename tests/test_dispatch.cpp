@@ -21,6 +21,11 @@
 // Every run is also bit-checked against its host reference, so a corpus
 // entry can never freeze a wrong answer.
 //
+// Each input runs twice: once profiled (the Machine's observed handlers)
+// and once with nothing attached (the unobserved handlers, which compile
+// the profiler and trace hooks out). The unobserved run has no profile, so
+// it must match its record's stats, system totals and hash.
+//
 // Also covers the hoisted span bounds check of the contiguous vector memory
 // paths: out-of-range accesses abort with the per-element diagnostics.
 #include <gtest/gtest.h>
@@ -86,6 +91,7 @@ struct Record {
   std::array<u64, kSystemCount> system{};
   std::vector<CoreRecord> cores;
   std::string hash;  // SimHash of the memory image or the result bits
+  bool profiled = true;  // false: stalls/busy were not observed, skip them
 };
 
 // ---- The frozen corpus -----------------------------------------------------
@@ -346,6 +352,7 @@ void expect_matches_corpus(const Record& observed) {
     const CoreRecord& got = observed.cores[c];
     const std::string core = "core " + std::to_string(c) + " ";
     for (usize i = 0; i < kStatCount; ++i) check(core + kStatNames[i], want.stats[i], got.stats[i]);
+    if (!observed.profiled) continue;
     for (usize i = 0; i < vsim::kStallReasonCount; ++i) {
       check(core + "stall " + vsim::stall_reason_name(static_cast<vsim::StallReason>(i)),
             want.stalls[i], got.stalls[i]);
@@ -363,30 +370,41 @@ void expect_matches_corpus(const Record& observed) {
                                    << to_source(observed);
 }
 
-CoreRecord core_record(const vsim::RunStats& stats, const vsim::PerfCounters& profiler) {
-  return {stat_fields(stats), profiler.stall_cycles(), profiler.busy_cycles()};
+// `profiler` is null for an unobserved run (its stall/busy arrays stay 0).
+CoreRecord core_record(const vsim::RunStats& stats, const vsim::PerfCounters* profiler) {
+  CoreRecord record{stat_fields(stats), {}, {}};
+  if (profiler != nullptr) {
+    record.stalls = profiler->stall_cycles();
+    record.busy = profiler->busy_cycles();
+  }
+  return record;
 }
 
 // A single Machine run: no barriers, no shared banks.
 Record machine_record(std::string name, const vsim::RunStats& stats,
-                      const vsim::PerfCounters& profiler) {
+                      const vsim::PerfCounters* profiler) {
   Record record;
   record.name = std::move(name);
   record.system = {stats.cycles, 0, 0, 0, 0};
   record.cores.push_back(core_record(stats, profiler));
+  record.profiled = profiler != nullptr;
   return record;
 }
 
+// `profilers` is null for an unobserved run.
 Record system_record(std::string name, const vsim::SystemRunStats& stats,
-                     const std::vector<vsim::PerfCounters>& profilers) {
+                     const std::vector<vsim::PerfCounters>* profilers) {
   Record record;
   record.name = std::move(name);
   record.system = {stats.cycles, stats.barriers, stats.memory.requests,
                    stats.memory.contended_requests, stats.memory.contention_cycles};
-  EXPECT_EQ(profilers.size(), stats.core_stats.size());
-  for (usize c = 0; c < std::min(profilers.size(), stats.core_stats.size()); ++c) {
-    record.cores.push_back(core_record(stats.core_stats[c], profilers[c]));
+  if (profilers != nullptr) EXPECT_EQ(profilers->size(), stats.core_stats.size());
+  for (usize c = 0; c < stats.core_stats.size(); ++c) {
+    const vsim::PerfCounters* profiler =
+        profilers != nullptr && c < profilers->size() ? &(*profilers)[c] : nullptr;
+    record.cores.push_back(core_record(stats.core_stats[c], profiler));
   }
+  record.profiled = profilers != nullptr;
   return record;
 }
 
@@ -452,23 +470,29 @@ TEST(InterpreterCorpus, HismTranspose) {
   for (const Input& input : inputs(test_matrix(11, 300, 280, 2500))) {
     SCOPED_TRACE(input.name);
     const HismMatrix hism = HismMatrix::from_coo(input.coo, config.section);
-    vsim::Machine machine(config);
-    const HismImage image = kernels::stage_hism(machine, hism);
-    machine.set_sreg(1, image.root_addr);
-    machine.set_sreg(2, image.root_len);
-    machine.set_sreg(3, image.levels - 1);
-    machine.set_sreg(vsim::kRegSp, kernels::kStackTop);
+    // One directly staged run, profiled or not; returns its record with the
+    // raw memory image's hash.
+    const auto run_direct = [&](vsim::PerfCounters* profiler) {
+      vsim::Machine machine(config);
+      const HismImage image = kernels::stage_hism(machine, hism);
+      machine.set_sreg(1, image.root_addr);
+      machine.set_sreg(2, image.root_len);
+      machine.set_sreg(3, image.levels - 1);
+      machine.set_sreg(vsim::kRegSp, kernels::kStackTop);
+      machine.attach_profiler(profiler);
+      const vsim::RunStats stats = machine.run(program);
+      EXPECT_TRUE(coo_equal(kernels::read_back_hism(machine, image, /*swap_dims=*/true).to_coo(),
+                            input.coo.transposed()));
+      Record record = machine_record("hism_transpose/" + input.name, stats, profiler);
+      testing::SimHash hash;
+      hash.update(machine.memory().raw());
+      record.hash = hash.hex();
+      return record;
+    };
     vsim::PerfCounters profiler;
-    machine.attach_profiler(&profiler);
-    const vsim::RunStats stats = machine.run(program);
-
-    EXPECT_TRUE(coo_equal(kernels::read_back_hism(machine, image, /*swap_dims=*/true).to_coo(),
-                          input.coo.transposed()));
-    Record record = machine_record("hism_transpose/" + input.name, stats, profiler);
-    testing::SimHash hash;
-    hash.update(machine.memory().raw());
-    record.hash = hash.hex();
+    const Record record = run_direct(&profiler);
     expect_matches_corpus(record);
+    expect_matches_corpus(run_direct(nullptr));
 
     // The kernel's runner attaches a shared snapshot instead of staging into
     // the machine; it must reproduce the directly staged run exactly.
@@ -478,7 +502,7 @@ TEST(InterpreterCorpus, HismTranspose) {
         kernels::time_hism_transpose(kernels::build_hism_stage(hism), config,
                                      /*split_drain_registers=*/false, nullptr, &staged_profiler,
                                      &staged_result);
-    const CoreRecord staged = core_record(staged_stats, staged_profiler);
+    const CoreRecord staged = core_record(staged_stats, &staged_profiler);
     EXPECT_EQ(staged.stats, record.cores.front().stats);
     EXPECT_EQ(staged.stalls, record.cores.front().stalls);
     EXPECT_EQ(staged.busy, record.cores.front().busy);
@@ -492,15 +516,19 @@ TEST(InterpreterCorpus, CrsTranspose) {
   const vsim::MachineConfig config;
   for (const Input& input : inputs(test_matrix(23, 300, 280, 2500))) {
     SCOPED_TRACE(input.name);
+    const kernels::CrsStage stage = kernels::build_crs_stage(Csr::from_coo(input.coo));
+    const auto run = [&](vsim::PerfCounters* profiler) {
+      Coo transposed;
+      const vsim::RunStats stats =
+          kernels::time_crs_transpose(stage, config, {}, profiler, &transposed);
+      EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
+      Record record = machine_record("crs_transpose/" + input.name, stats, profiler);
+      record.hash = coo_hash(transposed);
+      return record;
+    };
     vsim::PerfCounters profiler;
-    Coo transposed;
-    const vsim::RunStats stats = kernels::time_crs_transpose(
-        kernels::build_crs_stage(Csr::from_coo(input.coo)), config, {}, &profiler, &transposed);
-
-    EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
-    Record record = machine_record("crs_transpose/" + input.name, stats, profiler);
-    record.hash = coo_hash(transposed);
-    expect_matches_corpus(record);
+    expect_matches_corpus(run(&profiler));
+    expect_matches_corpus(run(nullptr));
   }
 }
 
@@ -514,14 +542,17 @@ TEST(InterpreterCorpus, SellSpmv) {
     std::vector<float> x(static_cast<usize>(input.coo.cols()));
     Rng rng(5);
     for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const auto run = [&](std::vector<vsim::PerfCounters>* profilers) {
+      std::vector<float> y;
+      const vsim::SystemRunStats stats = kernels::time_sell_spmv(sell, x, config, profilers, &y);
+      EXPECT_TRUE(floats_bit_equal(y, sell.spmv(x)));
+      Record record = system_record("sell_spmv/" + input.name, stats, profilers);
+      record.hash = floats_hash(y);
+      return record;
+    };
     std::vector<vsim::PerfCounters> profilers;
-    std::vector<float> y;
-    const vsim::SystemRunStats stats = kernels::time_sell_spmv(sell, x, config, &profilers, &y);
-
-    EXPECT_TRUE(floats_bit_equal(y, sell.spmv(x)));
-    Record record = system_record("sell_spmv/" + input.name, stats, profilers);
-    record.hash = floats_hash(y);
-    expect_matches_corpus(record);
+    expect_matches_corpus(run(&profilers));
+    expect_matches_corpus(run(nullptr));
   }
 }
 
@@ -534,15 +565,18 @@ TEST(InterpreterCorpus, Spgemm) {
     // B = a random matrix with A's row count (C = A^T B).
     const Index rows = input.coo.rows();
     const Csr b = Csr::from_coo(test_matrix(48, rows, 120, std::min<usize>(1200, rows * 60)));
+    const auto run = [&](std::vector<vsim::PerfCounters>* profilers) {
+      std::vector<float> dense;
+      const vsim::SystemRunStats stats =
+          kernels::time_hism_spgemm(input.coo, b, config, profilers, &dense);
+      EXPECT_TRUE(floats_bit_equal(dense, kernels::spgemm_at_b_reference_dense(input.coo, b)));
+      Record record = system_record("spgemm/" + input.name, stats, profilers);
+      record.hash = floats_hash(dense);
+      return record;
+    };
     std::vector<vsim::PerfCounters> profilers;
-    std::vector<float> dense;
-    const vsim::SystemRunStats stats =
-        kernels::time_hism_spgemm(input.coo, b, config, &profilers, &dense);
-
-    EXPECT_TRUE(floats_bit_equal(dense, kernels::spgemm_at_b_reference_dense(input.coo, b)));
-    Record record = system_record("spgemm/" + input.name, stats, profilers);
-    record.hash = floats_hash(dense);
-    expect_matches_corpus(record);
+    expect_matches_corpus(run(&profilers));
+    expect_matches_corpus(run(nullptr));
   }
 }
 
@@ -553,16 +587,19 @@ TEST(InterpreterCorpus, ShardedTransposeFourCores) {
   config.cores = 4;
   for (const Input& input : inputs(test_matrix(53, 500, 480, 4000))) {
     SCOPED_TRACE(input.name);
+    const auto run = [&](std::vector<vsim::PerfCounters>* profilers) {
+      Coo transposed;
+      const vsim::SystemRunStats stats =
+          kernels::time_sharded_hism_transpose(input.coo, config, profilers, &transposed);
+      EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
+      Record record = system_record("sharded_transpose_4/" + input.name, stats, profilers);
+      EXPECT_EQ(record.cores.size(), 4u);
+      record.hash = coo_hash(transposed);
+      return record;
+    };
     std::vector<vsim::PerfCounters> profilers;
-    Coo transposed;
-    const vsim::SystemRunStats stats =
-        kernels::time_sharded_hism_transpose(input.coo, config, &profilers, &transposed);
-
-    EXPECT_TRUE(coo_equal(transposed, input.coo.transposed()));
-    Record record = system_record("sharded_transpose_4/" + input.name, stats, profilers);
-    EXPECT_EQ(record.cores.size(), 4u);
-    record.hash = coo_hash(transposed);
-    expect_matches_corpus(record);
+    expect_matches_corpus(run(&profilers));
+    expect_matches_corpus(run(nullptr));
   }
 }
 

@@ -185,6 +185,52 @@ TEST(Profiler, ValuBusyBetweenIndependentOps) {
   EXPECT_GT(busy(run, BusyKind::kVAlu), 0u);
 }
 
+// ---- handler-table selection ------------------------------------------------
+
+// begin_run() dispatches through the observed handlers only while something
+// is attached, and chooses again on every run. Both tables must simulate
+// identically, and the observed one must still conserve every cycle.
+TEST(Profiler, HandlerTableIsChosenPerRun) {
+  Machine machine{MachineConfig{}};
+  machine.memory().ensure(0, 1 << 20);
+  // Scalar loads/stores, a taken branch, vector memory and ALU work; it
+  // reads only memory it never writes, so every run starts from the same
+  // state.
+  const Program program = assemble(
+      "li r4, 4\n"
+      "li r2, 0x100\n"
+      "li r3, 0x800\n"
+      "loop:\n"
+      "lw r5, (r2)\n"
+      "addi r5, r5, 1\n"
+      "sw r5, (r3)\n"
+      "addi r2, r2, 4\n"
+      "addi r3, r3, 4\n"
+      "addi r4, r4, -1\n"
+      "bne r4, r0, loop\n"
+      "li r1, 16\n"
+      "ssvl r1\n"
+      "li r2, 0x100\n"
+      "v_ld vr1, (r2)\n"
+      "v_addi vr2, vr1, 1\n"
+      "v_st vr2, 0x400(r2)\n"
+      "halt\n");
+  const RunStats unobserved = machine.run(program);
+  PerfCounters profile;
+  machine.attach_profiler(&profile);
+  const RunStats observed = machine.run(program);
+  machine.attach_profiler(nullptr);
+  const RunStats detached = machine.run(program);
+
+  EXPECT_GT(unobserved.scalar_instructions, 0u);
+  EXPECT_GT(unobserved.vector_instructions, 0u);
+  EXPECT_EQ(observed, unobserved);
+  EXPECT_EQ(detached, unobserved);
+  EXPECT_EQ(profile.runs(), 1u);  // the detached run recorded nothing
+  EXPECT_EQ(bucket_sum(profile), observed.cycles);
+  EXPECT_EQ(profile.attributed_cycles(), observed.cycles);
+}
+
 // ---- accumulation and rollups ----------------------------------------------
 
 TEST(Profiler, AccumulatesAcrossRunsOfTheSameProgram) {

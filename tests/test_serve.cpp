@@ -8,9 +8,12 @@
 
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
+#include "kernels/staging.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 #include "support/json.hpp"
@@ -371,6 +374,30 @@ TEST(ServeEndToEnd, RoundTrippedTraceReplaysBitIdentically) {
   const std::string replayed =
       deterministic_fragment(*parsed, options, serve_trace(*parsed, options));
   EXPECT_EQ(original, replayed);
+}
+
+TEST(ServeEndToEnd, EachStageIsLookedUpOncePerReplay) {
+  // A replay resolves every distinct (matrix, layout, section) once, with
+  // or without dedup and however many workers race for it; repeated
+  // requests reuse the resolved stage instead of re-hashing the matrix.
+  const Trace trace = generate_trace(small_generator());
+  std::set<std::tuple<u32, Kernel, u32>> triples;
+  for (const Request& request : trace.requests) {
+    const u32 section =
+        request.kernel == Kernel::kHism ? trace.configs[request.config].section : 0;
+    triples.insert({request.matrix, request.kernel, section});
+  }
+  ASSERT_LT(triples.size(), trace.requests.size()) << "the trace repeats no stage";
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "no dedup");
+    kernels::MatrixStageCache::instance().clear();
+    ServeOptions options;
+    options.dedup = dedup;
+    options.jobs = 4;
+    serve_trace(trace, options);
+    const kernels::MatrixStageCache::Stats stats = kernels::MatrixStageCache::instance().stats();
+    EXPECT_EQ(stats.hits + stats.misses, triples.size());
+  }
 }
 
 TEST(ServeEndToEnd, CheckedInTraceMeetsStructuralSpeedupFloor) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "vsim/assembler.hpp"
 #include "vsim/machine.hpp"
@@ -118,6 +120,38 @@ TEST(Trace, DetachedMachineRecordsNothing) {
   machine.attach_trace(nullptr);
   machine.run(assemble("li r1, 1\nhalt\n"));
   EXPECT_TRUE(trace.events().empty());
+}
+
+// enable_trace(n) prints the first n executed instructions to stderr, one
+// "[trace]" line each, and then falls silent.
+TEST(Trace, EnableTracePrintsExactlyItsBudget) {
+  Machine machine{MachineConfig{}};
+  const Program program =
+      assemble("li r1, 5\nloop:\naddi r1, r1, -1\nbne r1, r0, loop\nhalt\n");
+  const auto trace_lines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("[trace]", 0) == 0) lines.push_back(line);
+    }
+    return lines;
+  };
+
+  machine.enable_trace(3);
+  ::testing::internal::CaptureStderr();
+  const RunStats stats = machine.run(program);
+  const std::vector<std::string> lines = trace_lines(::testing::internal::GetCapturedStderr());
+  EXPECT_GT(stats.instructions, 3u);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].rfind("[trace] pc=0 li", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("[trace] pc=1 addi", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("[trace] pc=2 bne", 0), 0u) << lines[2];
+
+  // The budget is spent: the next run prints nothing and simulates the same.
+  ::testing::internal::CaptureStderr();
+  const RunStats again = machine.run(program);
+  EXPECT_TRUE(trace_lines(::testing::internal::GetCapturedStderr()).empty());
+  EXPECT_EQ(again, stats);
 }
 
 }  // namespace
