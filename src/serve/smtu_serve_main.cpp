@@ -80,17 +80,23 @@ int serve_main(int argc, const char* const* argv) {
     return 0;
   }
 
-  const Trace trace = load_trace_file(replay_path);
+  const Trace trace = [&] {
+    telemetry::HostSpan span("serve.trace_load_us");
+    return load_trace_file(replay_path);
+  }();
   const ServeReport report = serve_trace(trace, options);
 
-  if (!json_out.empty()) {
-    write_serve_report_file(json_out, trace, options, report);
-    std::fprintf(stderr, "wrote serve report to %s\n", json_out.c_str());
-  } else {
-    JsonWriter json(std::cout);
-    write_serve_report_json(json, trace, options, report);
-    std::cout << '\n';
+  {
+    telemetry::HostSpan span("serve.report_us");
+    if (!json_out.empty()) {
+      write_serve_report_file(json_out, trace, options, report);
+    } else {
+      JsonWriter json(std::cout);
+      write_serve_report_json(json, trace, options, report);
+      std::cout << '\n';
+    }
   }
+  if (!json_out.empty()) std::fprintf(stderr, "wrote serve report to %s\n", json_out.c_str());
 
   if (!telemetry_json.empty()) {
     std::ofstream out(telemetry_json);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -71,24 +70,44 @@ u64 next_gap_us(const ArrivalSpec& arrival, u64 now_us, Rng& rng) {
   return std::max<u64>(1, static_cast<u64>(std::llround(gap)));
 }
 
+// The rule every unsigned trace field follows. An integral lexeme must fit T
+// exactly. Any other number must be a non-negative integer in T's range as
+// a double, so `2.0` reads as 2; past 2^64 the conversion would be
+// undefined behaviour.
+template <typename T>
+std::optional<T> uint_of(const JsonNumber& number) {
+  constexpr u64 kMax = std::numeric_limits<T>::max();
+  if (number.integral) {
+    if (number.negative || number.integer > kMax) return std::nullopt;
+    return static_cast<T>(number.integer);
+  }
+  const double value = number.value;
+  if (value >= 0.0 && value < 0x1p64 && value == std::floor(value) &&
+      static_cast<u64>(value) <= kMax) {
+    return static_cast<T>(value);
+  }
+  return std::nullopt;
+}
+
+std::string uint_error(std::string_view key, usize bits) {
+  return format("\"%.*s\" is not an unsigned %zu-bit integer", static_cast<int>(key.size()),
+                key.data(), bits);
+}
+
 // Reads the unsigned integer field `key` into `out`, which keeps its value
-// when the key is absent. A present value that is not a non-negative
-// integer fitting T is an error: it would otherwise be truncated into range
-// or, past 2^64, be undefined behaviour to convert.
+// when the key is absent. A present value that breaks uint_of's rule is an
+// error.
 template <typename T>
 bool read_uint(const JsonValue& object, std::string_view key, T& out, std::string* error) {
   const JsonValue* value = object.find(key);
   if (value == nullptr) return true;
-  const double number = value->is_number() ? value->as_double() : -1.0;
-  if (number >= 0.0 && number < 0x1p64 && number == std::floor(number) &&
-      static_cast<u64>(number) <= std::numeric_limits<T>::max()) {
-    out = static_cast<T>(number);
-    return true;
+  if (value->is_number()) {
+    if (const std::optional<T> number = uint_of<T>(value->as_number())) {
+      out = *number;
+      return true;
+    }
   }
-  if (error != nullptr) {
-    *error = format("\"%.*s\" is not an unsigned %zu-bit integer", static_cast<int>(key.size()),
-                    key.data(), 8 * sizeof(T));
-  }
+  if (error != nullptr) *error = uint_error(key, 8 * sizeof(T));
   return false;
 }
 
@@ -120,7 +139,7 @@ const char* kernel_name(Kernel kernel) {
   return "?";
 }
 
-bool kernel_from_name(const std::string& name, Kernel& kernel) {
+bool kernel_from_name(std::string_view name, Kernel& kernel) {
   for (u32 i = 0; i < kKernelCount; ++i) {
     if (name == kernel_name(static_cast<Kernel>(i))) {
       kernel = static_cast<Kernel>(i);
@@ -254,18 +273,181 @@ void write_trace_file(const std::string& path, const Trace& trace) {
   out << '\n';
 }
 
-std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) {
-  if (!document.is_object()) {
+namespace {
+
+// What reading a request object found wrong with it. The checks that need
+// the whole document run after it is read: "matrices" and "configs" may
+// follow the request array, and a document-level fault must still be
+// reported before any request's.
+enum RequestFault : u8 {
+  kNotObject = 1 << 0,
+  kBadId = 1 << 1,
+  kBadMatrix = 1 << 2,
+  kBadConfig = 1 << 3,
+  kBadArrival = 1 << 4,
+  kNoMatrix = 1 << 5,
+  kNoConfig = 1 << 6,
+  kBadKernel = 1 << 7,
+};
+
+// Reads the current member's value into `out` when it follows uint_of's
+// rule and sets `bad` in `faults` when it does not. False on a grammar
+// error only.
+template <typename T>
+bool read_uint_member(JsonReader& reader, T& out, u8& faults, u8 bad) {
+  if (reader.peek() != JsonReader::Kind::kNumber) {
+    faults |= bad;
+    return reader.skip_value();
+  }
+  const std::optional<JsonNumber> number = reader.read_number();
+  if (!number) return false;
+  if (const std::optional<T> value = uint_of<T>(*number)) {
+    out = *value;
+  } else {
+    faults |= bad;
+  }
+  return true;
+}
+
+// Reads one request object. As with JsonValue::find, the first member with
+// a given key wins; later duplicates and unknown members are only
+// grammar-checked.
+bool read_request(JsonReader& reader, Request& request, u8& faults) {
+  enum Seen : u8 { kId = 1, kMatrix = 2, kKernel = 4, kConfig = 8, kArrival = 16 };
+  u8 seen = 0;
+  const auto first = [&seen](Seen field) {
+    const bool fresh = (seen & field) == 0;
+    seen |= field;
+    return fresh;
+  };
+  reader.begin_object();
+  std::string_view key;
+  while (reader.next_member(key)) {
+    bool read = true;
+    if (key == "id" && first(kId)) {
+      read = read_uint_member(reader, request.id, faults, kBadId);
+    } else if (key == "matrix" && first(kMatrix)) {
+      read = read_uint_member(reader, request.matrix, faults, kBadMatrix);
+    } else if (key == "config" && first(kConfig)) {
+      read = read_uint_member(reader, request.config, faults, kBadConfig);
+    } else if (key == "arrival_us" && first(kArrival)) {
+      read = read_uint_member(reader, request.arrival_us, faults, kBadArrival);
+    } else if (key == "kernel" && first(kKernel)) {
+      if (reader.peek() == JsonReader::Kind::kString) {
+        const std::optional<std::string_view> name = reader.read_string();
+        read = name.has_value();
+        if (read && !kernel_from_name(*name, request.kernel)) faults |= kBadKernel;
+      } else {
+        faults |= kBadKernel;
+        read = reader.skip_value();
+      }
+    } else {
+      read = reader.skip_value();
+    }
+    if (!read) return false;
+  }
+  if ((seen & kMatrix) == 0) faults |= kNoMatrix;
+  if ((seen & kConfig) == 0) faults |= kNoConfig;
+  if ((seen & kKernel) == 0) faults |= kBadKernel;
+  return reader.ok();
+}
+
+// Streams the request array into `requests`, with one fault byte per
+// request in `faults`. False on a grammar error only.
+bool read_requests(JsonReader& reader, std::vector<Request>& requests,
+                   std::vector<u8>& faults) {
+  reader.begin_array();
+  while (reader.next_item()) {
+    Request request;
+    request.id = static_cast<u32>(requests.size());
+    u8 fault = 0;
+    if (reader.peek() == JsonReader::Kind::kObject) {
+      if (!read_request(reader, request, fault)) return false;
+    } else {
+      fault = kNotObject;
+      if (!reader.skip_value()) return false;
+    }
+    requests.push_back(request);
+    faults.push_back(fault);
+  }
+  return reader.ok();
+}
+
+// The checks of one request read by read_requests, in the order a walk over
+// its members would make them.
+bool check_request(const Trace& trace, const Request& request, u8 fault, u64 previous_arrival,
+                   std::string* error) {
+  if ((fault & kNotObject) != 0) return set_error(error, "request is not an object");
+  if ((fault & kBadId) != 0) return set_error(error, "request " + uint_error("id", 32));
+  const auto fail = [&](const std::string& what) {
+    return set_error(error, format("request %u: ", request.id) + what);
+  };
+  if ((fault & kBadMatrix) != 0) return fail(uint_error("matrix", 32));
+  if ((fault & kBadConfig) != 0) return fail(uint_error("config", 32));
+  if ((fault & kBadArrival) != 0) return fail(uint_error("arrival_us", 64));
+  if ((fault & kNoMatrix) != 0 || request.matrix >= trace.matrix_count) {
+    return fail("matrix index out of range");
+  }
+  if ((fault & kBadKernel) != 0) return fail("unknown kernel");
+  if ((fault & kNoConfig) != 0 || request.config >= trace.configs.size()) {
+    return fail("config index out of range");
+  }
+  if (request.arrival_us < previous_arrival) return fail("arrival_us decreases");
+  return true;
+}
+
+}  // namespace
+
+std::optional<Trace> parse_trace(std::string_view text, std::string* error) {
+  // One pass over the text. Every member but "requests" is small and lands
+  // in `document`; the request array streams into `trace.requests` without
+  // a DOM. Grammar errors anywhere come first, as from parse_json.
+  JsonReader reader(text);
+  Trace trace;
+  std::vector<u8> faults;
+  std::vector<JsonValue::Member> header;
+  const bool is_object = reader.peek() == JsonReader::Kind::kObject;
+  bool requests_seen = false;
+  bool requests_array = false;
+  if (is_object) {
+    reader.begin_object();
+    std::string_view key;
+    while (reader.next_member(key)) {
+      if (key != "requests") {
+        std::string name(key);  // the key's view ends at the next read
+        std::optional<JsonValue> value = read_json_value(reader);
+        if (!value) break;
+        header.emplace_back(std::move(name), std::move(*value));
+      } else if (requests_seen) {
+        reader.skip_value();
+      } else {
+        requests_seen = true;
+        requests_array = reader.peek() == JsonReader::Kind::kArray;
+        if (requests_array) {
+          read_requests(reader, trace.requests, faults);
+        } else {
+          reader.skip_value();
+        }
+      }
+    }
+  } else {
+    reader.skip_value();
+  }
+  if (!reader.finish()) {
+    set_error(error, reader.error());
+    return std::nullopt;
+  }
+  if (!is_object) {
     set_error(error, "trace is not a JSON object");
     return std::nullopt;
   }
+
+  const JsonValue document = JsonValue::make_object(std::move(header));
   const JsonValue* schema = document.find("schema");
   if (schema == nullptr || !schema->is_string() || schema->as_string() != kSchema) {
     set_error(error, "missing or wrong schema tag (expected \"smtu-trace-v1\")");
     return std::nullopt;
   }
-
-  Trace trace;
   if (!read_uint(document, "seed", trace.seed, error)) return std::nullopt;
   const JsonValue* set = document.find("set");
   if (set == nullptr || !set->is_string()) {
@@ -322,48 +504,16 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     return std::nullopt;
   }
 
-  const JsonValue* requests = document.find("requests");
-  if (requests == nullptr || !requests->is_array()) {
+  if (!requests_array) {
     set_error(error, "missing \"requests\" array");
     return std::nullopt;
   }
   u64 previous_arrival = 0;
-  for (const JsonValue& item : requests->items()) {
-    if (!item.is_object()) {
-      set_error(error, "request is not an object");
+  for (usize i = 0; i < trace.requests.size(); ++i) {
+    if (!check_request(trace, trace.requests[i], faults[i], previous_arrival, error)) {
       return std::nullopt;
     }
-    Request request;
-    request.id = static_cast<u32>(trace.requests.size());
-    if (!read_uint(item, "id", request.id, error)) return fail_in(error, "request ");
-    // Absent indices default to one past the end, so they fail the range checks.
-    request.matrix = trace.matrix_count;
-    request.config = static_cast<u32>(trace.configs.size());
-    if (!read_uint(item, "matrix", request.matrix, error) ||
-        !read_uint(item, "config", request.config, error) ||
-        !read_uint(item, "arrival_us", request.arrival_us, error)) {
-      return fail_in(error, format("request %u: ", request.id));
-    }
-    if (request.matrix >= trace.matrix_count) {
-      set_error(error, format("request %u: matrix index out of range", request.id));
-      return std::nullopt;
-    }
-    const JsonValue* kernel = item.find("kernel");
-    if (kernel == nullptr || !kernel->is_string() ||
-        !kernel_from_name(kernel->as_string(), request.kernel)) {
-      set_error(error, format("request %u: unknown kernel", request.id));
-      return std::nullopt;
-    }
-    if (request.config >= trace.configs.size()) {
-      set_error(error, format("request %u: config index out of range", request.id));
-      return std::nullopt;
-    }
-    if (request.arrival_us < previous_arrival) {
-      set_error(error, format("request %u: arrival_us decreases", request.id));
-      return std::nullopt;
-    }
-    previous_arrival = request.arrival_us;
-    trace.requests.push_back(request);
+    previous_arrival = trace.requests[i].arrival_us;
   }
   if (trace.requests.empty()) {
     set_error(error, "trace has no requests");
@@ -373,16 +523,17 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
 }
 
 Trace load_trace_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   SMTU_CHECK_MSG(static_cast<bool>(in), "cannot open trace " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::string parse_error;
-  const std::optional<JsonValue> document = parse_json(text.view(), &parse_error);
-  SMTU_CHECK_MSG(document.has_value(), "trace " + path + ": " + parse_error);
-  std::string trace_error;
-  std::optional<Trace> trace = parse_trace(*document, &trace_error);
-  SMTU_CHECK_MSG(trace.has_value(), "trace " + path + ": " + trace_error);
+  const std::streamoff size = in.tellg();
+  SMTU_CHECK_MSG(size >= 0, "cannot size trace " + path);
+  std::string text(static_cast<usize>(size), '\0');
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  SMTU_CHECK_MSG(static_cast<bool>(in), "cannot read trace " + path);
+  std::string error;
+  std::optional<Trace> trace = parse_trace(text, &error);
+  SMTU_CHECK_MSG(trace.has_value(), "trace " + path + ": " + error);
   return std::move(*trace);
 }
 

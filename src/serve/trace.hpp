@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -71,10 +72,14 @@ void write_trace_json(JsonWriter& json, const Trace& trace);
 // Writes the document plus a trailing newline to `path`; aborts on I/O error.
 void write_trace_file(const std::string& path, const Trace& trace);
 
-// Parses an smtu-trace-v1 document. Returns nullopt (and fills `error` when
-// non-null) on schema violations: wrong schema tag, out-of-range matrix or
-// config indices, unknown kernel names, or decreasing arrival times.
-std::optional<Trace> parse_trace(const JsonValue& document, std::string* error = nullptr);
+// Parses the text of an smtu-trace-v1 document in one pass, streaming the
+// request array without building a DOM. Returns nullopt (and fills `error`
+// when non-null) on malformed JSON, reported as parse_json reports it, and
+// then on schema violations: wrong schema tag, fields that are not unsigned
+// integers of their width, out-of-range matrix or config indices, unknown
+// kernel names, or decreasing arrival times. Members may come in any order;
+// of duplicate keys the first wins, as with JsonValue::find.
+std::optional<Trace> parse_trace(std::string_view text, std::string* error = nullptr);
 // Reads and parses `path`; aborts with the parse error on failure.
 Trace load_trace_file(const std::string& path);
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "support/json.hpp"
+#include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace smtu {
 namespace {
@@ -53,6 +57,85 @@ TEST(Json, StringEscaping) {
   EXPECT_EQ(JsonWriter::escape(std::string("ctl\x01", 4)), "ctl\\u0001");
 }
 
+// The writer must render every number exactly as the printf formats it
+// replaced: the checked-in traces and baselines pin those bytes.
+std::string written(double number) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.value(number);
+  return out.str();
+}
+
+TEST(Json, DoublesRenderAsPercentPoint12G) {
+  std::vector<double> corpus = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-5, 1e-4, 9.99999999999e-5,
+      1e12, 1e12 - 1, 1e12 + 1, 999999999999.5, 1e21, 1e22, 123456789012.5,
+      1234567890125.0, 0.1234567890125, 9.999999999995, 9.9999999999995,
+      std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::min() / 3.0, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), std::numeric_limits<double>::epsilon(),
+      20000.0, 0.75, 1.5, 0.05, 4.0};
+  Rng rng(0x12E5EED);
+  for (int i = 0; i < 20000; ++i) {
+    // Uniform bit patterns reach every exponent; the scaled draws cover the
+    // magnitudes reports actually write.
+    const double bits = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(bits)) corpus.push_back(bits);
+    corpus.push_back(rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.range(-30, 30)));
+  }
+  for (const double number : corpus) {
+    ASSERT_EQ(written(number), format("%.12g", number)) << std::bit_cast<u64>(number);
+  }
+}
+
+TEST(Json, IntegersRenderExactlyAtTheirLimits) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  json.value(std::numeric_limits<i64>::min());
+  json.value(std::numeric_limits<i64>::max());
+  json.value(std::numeric_limits<u64>::max());
+  json.value(i64{0});
+  json.value(u64{0});
+  json.end_array();
+  EXPECT_EQ(out.str(),
+            "[-9223372036854775808,9223372036854775807,18446744073709551615,0,0]");
+}
+
+TEST(Json, KeysAndValuesNeedingEscapesAreEscaped) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_object();
+  json.key("plain");
+  json.value("text");
+  json.key("q\"uote");
+  json.value(std::string("back\\slash\x1f\ttab\n", 16));
+  json.key(std::string("ctl\x01", 4));
+  json.value("\"");
+  json.end_object();
+  EXPECT_EQ(out.str(),
+            "{\"plain\":\"text\",\"q\\\"uote\":\"back\\\\slash\\u001f\\ttab\\n\","
+            "\"ctl\\u0001\":\"\\\"\"}");
+  const auto doc = parse_json(out.str());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->at("q\"uote").as_string(), std::string("back\\slash\x1f\ttab\n", 16));
+  EXPECT_EQ(doc->at(std::string("ctl\x01", 4)).as_string(), "\"");
+}
+
+TEST(Json, OutputReachesTheStreamWhenTheRootCloses) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_array();
+  for (u64 i = 0; i < 5000; ++i) json.value(i);
+  json.end_array();
+  out << '\n';  // callers append to the stream once the document is complete
+  const std::string text = out.str();
+  ASSERT_EQ(text.back(), '\n');
+  const auto doc = parse_json(std::string_view(text).substr(0, text.size() - 1));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->size(), 5000u);
+}
+
 TEST(Json, NonFiniteNumbersBecomeNull) {
   std::ostringstream out;
   JsonWriter json(out);
@@ -92,6 +175,76 @@ TEST(JsonParse, Scalars) {
   EXPECT_DOUBLE_EQ(parse_json("1.25e2")->as_double(), 125.0);
   EXPECT_EQ(parse_json("\"hi\"")->as_string(), "hi");
   EXPECT_EQ(parse_json("  [1, 2]  ")->size(), 2u);
+}
+
+TEST(JsonParse, IntegersAreExactToTheirFullRange) {
+  EXPECT_EQ(parse_json("9007199254740993")->as_u64(), 9007199254740993ull);
+  EXPECT_EQ(parse_json("18446744073709551615")->as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(parse_json("-9223372036854775808")->as_i64(), std::numeric_limits<i64>::min());
+  EXPECT_EQ(parse_json("9223372036854775807")->as_i64(), std::numeric_limits<i64>::max());
+  EXPECT_EQ(parse_json("-9007199254740993")->as_i64(), -9007199254740993ll);
+  // The double next to the exact integer is still the nearest one.
+  EXPECT_EQ(parse_json("9007199254740993")->as_double(), 9007199254740992.0);
+  // Fractions and exponents are not integral lexemes, even when whole.
+  EXPECT_FALSE(parse_json("2.0")->as_number().integral);
+  EXPECT_FALSE(parse_json("1e2")->as_number().integral);
+  EXPECT_EQ(parse_json("1e2")->as_u64(), 100u);
+  // "-0" is the integer 0 and the double -0.0.
+  const JsonNumber zero = parse_json("-0")->as_number();
+  EXPECT_TRUE(zero.integral);
+  EXPECT_FALSE(zero.negative);
+  EXPECT_EQ(parse_json("-0")->as_u64(), 0u);
+  EXPECT_TRUE(std::signbit(zero.value));
+}
+
+TEST(JsonParse, UnderflowReadsAsZeroAndOverflowIsAnError) {
+  EXPECT_EQ(parse_json("1e-400")->as_double(), 0.0);
+  EXPECT_EQ(parse_json("4.9e-324")->as_double(), std::numeric_limits<double>::denorm_min());
+  std::string error;
+  EXPECT_FALSE(parse_json("1e400", &error).has_value());
+  EXPECT_EQ(error, "number out of range (at byte 5)");
+}
+
+TEST(JsonReader, PullsValuesWithoutADom) {
+  JsonReader reader(R"( {"a": [1, "two", {"b": null}], "c": true, "d\u0065": -5} )");
+  ASSERT_EQ(reader.peek(), JsonReader::Kind::kObject);
+  ASSERT_TRUE(reader.begin_object());
+  std::string_view key;
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "a");
+  ASSERT_TRUE(reader.begin_array());
+  ASSERT_TRUE(reader.next_item());
+  EXPECT_EQ(reader.read_number()->integer, 1u);
+  ASSERT_TRUE(reader.next_item());
+  EXPECT_EQ(reader.read_string(), "two");
+  ASSERT_TRUE(reader.next_item());
+  EXPECT_TRUE(reader.skip_value());
+  EXPECT_FALSE(reader.next_item());
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "c");
+  EXPECT_EQ(reader.read_bool(), true);
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "de");  // decoded from its escape
+  const std::optional<JsonNumber> number = reader.read_number();
+  ASSERT_TRUE(number.has_value());
+  EXPECT_TRUE(number->negative);
+  EXPECT_EQ(static_cast<i64>(number->integer), -5);
+  EXPECT_FALSE(reader.next_member(key));
+  EXPECT_TRUE(reader.finish());
+  EXPECT_TRUE(reader.ok());
+}
+
+TEST(JsonReader, ReportsTheFirstErrorWithItsOffset) {
+  JsonReader reader("[1, 2 x]");
+  EXPECT_TRUE(reader.skip_value() == false);
+  EXPECT_EQ(reader.error(), "expected ',' or ']' in array (at byte 6)");
+  EXPECT_FALSE(reader.finish());
+  EXPECT_EQ(reader.error(), "expected ',' or ']' in array (at byte 6)");
+
+  JsonReader trailing("{} {}");
+  EXPECT_TRUE(trailing.skip_value());
+  EXPECT_FALSE(trailing.finish());
+  EXPECT_EQ(trailing.error(), "trailing characters after JSON document (at byte 3)");
 }
 
 TEST(JsonParse, ObjectPreservesMemberOrder) {

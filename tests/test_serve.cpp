@@ -32,9 +32,7 @@ std::string trace_to_string(const Trace& trace) {
 }
 
 std::optional<Trace> parse_string(const std::string& text, std::string* error = nullptr) {
-  const std::optional<JsonValue> document = parse_json(text, error);
-  if (!document.has_value()) return std::nullopt;
-  return parse_trace(*document, error);
+  return parse_trace(text, error);
 }
 
 // A hand-built trace small enough to mutate into every invalid shape.
@@ -374,6 +372,52 @@ TEST(ServeEndToEnd, RoundTrippedTraceReplaysBitIdentically) {
   const std::string replayed =
       deterministic_fragment(*parsed, options, serve_trace(*parsed, options));
   EXPECT_EQ(original, replayed);
+}
+
+TEST(ServeEndToEnd, SeedAbove2To53SurvivesGenerateWriteReplay) {
+  // 2^53 + 1 is the first integer a double cannot hold: the trace and the
+  // report must carry it exactly, not as 2^53.
+  GeneratorOptions generator = small_generator();
+  generator.seed = (u64{1} << 53) + 1;
+  const std::string text = trace_to_string(generate_trace(generator));
+  EXPECT_NE(text.find("\"seed\":9007199254740993,"), std::string::npos);
+  std::string error;
+  const std::optional<Trace> replayed = parse_string(text, &error);
+  ASSERT_TRUE(replayed.has_value()) << error;
+  EXPECT_EQ(replayed->seed, generator.seed);
+
+  const ServeOptions options;
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    write_serve_report_json(json, *replayed, options, serve_trace(*replayed, options));
+  }
+  const std::optional<JsonValue> report = parse_json(out.str(), &error);
+  ASSERT_TRUE(report.has_value()) << error;
+  EXPECT_EQ(report->at("trace").at("seed").as_u64(), generator.seed);
+}
+
+TEST(ServeTrace, MembersMayComeInAnyOrderAndTheFirstDuplicateWins) {
+  Trace trace = tiny_trace();
+  std::string text = trace_to_string(trace);
+  // Move the request array to the front, ahead of "configs" and "matrices".
+  const auto requests = text.find(",\"requests\":");
+  ASSERT_NE(requests, std::string::npos);
+  const std::string array = text.substr(requests + 1, text.rfind('}') - requests - 1);
+  text.erase(requests, array.size() + 1);
+  text.insert(1, array + ",");
+  // A later duplicate of a field is grammar-checked but ignored.
+  text.insert(text.rfind('}'), ",\"matrices\":1,\"requests\":[{\"bogus\":[1e2,\"\\u0041\"]}]");
+  std::string error;
+  const std::optional<Trace> parsed = parse_string(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << text;
+  EXPECT_EQ(trace_to_string(*parsed), trace_to_string(trace));
+
+  // The same document with a grammar error after the request array is
+  // still rejected, with the grammar error.
+  text.insert(text.rfind('}'), ",\"late\":[1,]");
+  EXPECT_FALSE(parse_string(text, &error).has_value());
+  EXPECT_NE(error.find("malformed number"), std::string::npos) << error;
 }
 
 TEST(ServeEndToEnd, EachStageIsLookedUpOncePerReplay) {
