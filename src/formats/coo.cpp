@@ -14,8 +14,15 @@ bool row_major_less(const CooEntry& a, const CooEntry& b) {
 
 }  // namespace
 
-Coo::Coo(Index rows, Index cols, std::vector<CooEntry> entries)
-    : rows_(rows), cols_(cols), entries_(std::move(entries)) {
+Coo::Coo(Index rows, Index cols) : rows_(rows), cols_(cols) {
+  SMTU_CHECK_MSG(rows <= kMaxCooDim && cols <= kMaxCooDim,
+                 format("COO dimensions %llux%llu exceed 32-bit indices",
+                        static_cast<unsigned long long>(rows),
+                        static_cast<unsigned long long>(cols)));
+}
+
+Coo::Coo(Index rows, Index cols, std::vector<CooEntry> entries) : Coo(rows, cols) {
+  entries_ = std::move(entries);
   for (const CooEntry& e : entries_) {
     SMTU_CHECK_MSG(e.row < rows_ && e.col < cols_,
                    format("entry (%llu,%llu) outside %llux%llu",
@@ -28,7 +35,7 @@ Coo::Coo(Index rows, Index cols, std::vector<CooEntry> entries)
 
 void Coo::add(Index row, Index col, float value) {
   SMTU_CHECK_MSG(row < rows_ && col < cols_, "COO entry out of bounds");
-  entries_.push_back({row, col, value});
+  entries_.push_back({static_cast<u32>(row), static_cast<u32>(col), value});
 }
 
 void Coo::canonicalize() {

@@ -5,24 +5,31 @@
 // established by comparing canonical COO forms.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "support/types.hpp"
 
 namespace smtu {
 
+// 12 bytes: 32-bit coordinates, like the CRS JA/IA arrays the kernels stage.
+// A Coo's dimensions are at most kMaxCooDim, so every coordinate fits.
 struct CooEntry {
-  Index row = 0;
-  Index col = 0;
+  u32 row = 0;
+  u32 col = 0;
   float value = 0.0f;
 
   friend bool operator==(const CooEntry&, const CooEntry&) = default;
 };
+static_assert(sizeof(CooEntry) == 12);
+
+inline constexpr Index kMaxCooDim = UINT32_MAX;
 
 class Coo {
  public:
   Coo() = default;
-  Coo(Index rows, Index cols) : rows_(rows), cols_(cols) {}
+  // Dimensions above kMaxCooDim abort.
+  Coo(Index rows, Index cols);
   Coo(Index rows, Index cols, std::vector<CooEntry> entries);
 
   Index rows() const { return rows_; }
@@ -33,7 +40,7 @@ class Coo {
   const std::vector<CooEntry>& entries() const { return entries_; }
   std::vector<CooEntry>& entries() { return entries_; }
 
-  // Appends an entry; bounds-checked.
+  // Appends an entry; bounds-checked (so both coordinates fit in 32 bits).
   void add(Index row, Index col, float value);
 
   // Sorts row-major, merges duplicate coordinates by summation, and drops

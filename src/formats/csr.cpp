@@ -32,7 +32,7 @@ Coo Csr::to_coo() const {
   coo.entries().reserve(nnz());
   for (Index r = 0; r < rows_; ++r) {
     for (u32 k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      coo.entries().push_back({r, col_idx_[k], values_[k]});
+      coo.entries().push_back({static_cast<u32>(r), col_idx_[k], values_[k]});
     }
   }
   return coo;

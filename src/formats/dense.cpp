@@ -17,7 +17,7 @@ Coo Dense::to_coo() const {
   for (Index r = 0; r < rows_; ++r) {
     for (Index c = 0; c < cols_; ++c) {
       const float v = at(r, c);
-      if (v != 0.0f) coo.entries().push_back({r, c, v});
+      if (v != 0.0f) coo.entries().push_back({static_cast<u32>(r), static_cast<u32>(c), v});
     }
   }
   return coo;

@@ -52,6 +52,14 @@ Header parse_header(const std::string& line) {
   return header;
 }
 
+// The Coo constructor aborts on dimensions past 32-bit indices; input that
+// declares them is malformed, not truncated.
+void check_dimensions(usize line_number, Index rows, Index cols) {
+  if (rows > kMaxCooDim || cols > kMaxCooDim) {
+    fail(line_number, "dimensions exceed 32-bit indices");
+  }
+}
+
 }  // namespace
 
 Coo read_matrix_market(std::istream& in) {
@@ -78,6 +86,7 @@ Coo read_matrix_market(std::istream& in) {
     const auto rows = parse_uint(size_tokens[0]);
     const auto cols = parse_uint(size_tokens[1]);
     if (!rows || !cols) fail(line_number, "bad array dimensions");
+    check_dimensions(line_number, *rows, *cols);
     Coo coo(*rows, *cols);
     // Array data is column-major, one value per line.
     for (Index c = 0; c < *cols; ++c) {
@@ -107,6 +116,7 @@ Coo read_matrix_market(std::istream& in) {
   const auto cols = parse_uint(size_tokens[1]);
   const auto declared_nnz = parse_uint(size_tokens[2]);
   if (!rows || !cols || !declared_nnz) fail(line_number, "bad size line");
+  check_dimensions(line_number, *rows, *cols);
   // No more entries than cells; compared by division so rows·cols cannot
   // overflow.
   if (*declared_nnz != 0 && (*rows == 0 || (*declared_nnz - 1) / *rows >= *cols)) {

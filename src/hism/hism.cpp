@@ -163,7 +163,8 @@ Coo HismMatrix::to_coo() const {
         const Index row = row_off + block.pos[i].row * span;
         const Index col = col_off + block.pos[i].col * span;
         if (level == 0) {
-          coo.entries().push_back({row, col, std::bit_cast<float>(block.slot[i])});
+          coo.entries().push_back(
+              {static_cast<u32>(row), static_cast<u32>(col), std::bit_cast<float>(block.slot[i])});
         } else {
           walk(hism.levels_[level - 1][block.slot[i]], level - 1, row, col);
         }

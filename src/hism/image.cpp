@@ -27,7 +27,16 @@ u64 block_array_image_bytes(usize entries, bool has_lengths) {
 }
 
 HismImage build_hism_image(const HismMatrix& hism, Addr base) {
+  std::vector<u8> bytes;
+  HismImage image = build_hism_image_into(hism, base, base, bytes);
+  image.bytes = std::move(bytes);
+  return image;
+}
+
+HismImage build_hism_image_into(const HismMatrix& hism, Addr base, Addr origin,
+                                std::vector<u8>& out) {
   SMTU_CHECK_MSG(base % 4 == 0, "HiSM image base must be 4-byte aligned");
+  SMTU_CHECK(origin <= base);
   SMTU_CHECK_MSG(hism.validate(), "cannot serialize an invalid HiSM matrix");
 
   HismImage image;
@@ -48,7 +57,8 @@ HismImage build_hism_image(const HismMatrix& hism, Addr base) {
       cursor += block_array_image_bytes(block.size(), /*has_lengths=*/k > 0);
     }
   }
-  image.bytes.assign(cursor - base, 0);
+  image.end = cursor;
+  out.assign(cursor - origin, 0);
   image.root_addr = addr_of[image.levels - 1][hism.root_id()];
   image.root_len = static_cast<u32>(hism.root().size());
 
@@ -57,16 +67,16 @@ HismImage build_hism_image(const HismMatrix& hism, Addr base) {
     const auto& pool = hism.level(k);
     for (usize b = 0; b < pool.size(); ++b) {
       const BlockArray& block = pool[b];
-      const usize at = addr_of[k][b] - base;
+      const usize at = addr_of[k][b] - origin;
       const usize n = block.size();
       const usize slots_at = at + round_up(2 * n, 4);
       for (usize i = 0; i < n; ++i) {
-        image.bytes[at + 2 * i] = block.pos[i].row;
-        image.bytes[at + 2 * i + 1] = block.pos[i].col;
+        out[at + 2 * i] = block.pos[i].row;
+        out[at + 2 * i + 1] = block.pos[i].col;
         const u32 slot_value =
             k == 0 ? block.slot[i] : static_cast<u32>(addr_of[k - 1][block.slot[i]]);
-        put_u32(image.bytes, slots_at + 4 * i, slot_value);
-        if (k > 0) put_u32(image.bytes, slots_at + 4 * n + 4 * i, block.child_len[i]);
+        put_u32(out, slots_at + 4 * i, slot_value);
+        if (k > 0) put_u32(out, slots_at + 4 * n + 4 * i, block.child_len[i]);
       }
     }
   }

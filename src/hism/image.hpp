@@ -28,6 +28,7 @@ namespace smtu {
 struct HismImage {
   std::vector<u8> bytes;  // image content; bytes[0] lives at address `base`
   Addr base = 0;
+  Addr end = 0;  // first address past the image
   Addr root_addr = 0;
   u32 root_len = 0;
   u32 levels = 0;
@@ -41,6 +42,13 @@ u64 block_array_image_bytes(usize entries, bool has_lengths);
 
 // Serializes `hism` with the image starting at `base` (must be 4-aligned).
 HismImage build_hism_image(const HismMatrix& hism, Addr base);
+
+// The same image serialized into `out` instead of the descriptor's `bytes`
+// (left empty): `out` is resized to cover [origin, image end), zero-filled,
+// with out[0] at address `origin` <= base. The stage cache uses origin 0 to
+// build a memory snapshot in place.
+HismImage build_hism_image_into(const HismMatrix& hism, Addr base, Addr origin,
+                                std::vector<u8>& out);
 
 // Decodes an image from a memory snapshot. `memory` is the machine memory
 // starting at address `memory_base`; the root and shape parameters come from

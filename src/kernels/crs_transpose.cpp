@@ -319,7 +319,7 @@ vsim::RunStats run_on_stage(const std::string& source, const CrsStage& stage,
   const auto program = vsim::ProgramCache::instance().get(source);
   const CrsImage& image = stage.image;
   vsim::Machine machine(config);
-  machine.memory().attach_base(stage.snapshot);
+  machine.memory().attach_base(stage.snapshot, stage.snapshot_size);
   machine.set_sreg(1, image.an);
   machine.set_sreg(2, image.ja);
   machine.set_sreg(3, image.ia);

@@ -134,7 +134,7 @@ vsim::RunStats run_on_stage(const std::string& source, const HismStage& stage,
                  "HiSM section size must match the machine section size");
   const auto program = vsim::ProgramCache::instance().get(source);
   vsim::Machine machine(config);
-  machine.memory().attach_base(stage.snapshot);
+  machine.memory().attach_base(stage.snapshot, stage.snapshot_size);
   machine.set_sreg(1, stage.image.root_addr);
   machine.set_sreg(2, stage.image.root_len);
   machine.set_sreg(3, stage.image.levels - 1);

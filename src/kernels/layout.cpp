@@ -1,6 +1,8 @@
 #include "kernels/layout.hpp"
 
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
@@ -10,9 +12,8 @@ namespace {
 
 Addr align16(Addr addr) { return round_up(addr, 16); }
 
-}  // namespace
-
-CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
+// The six array addresses and dimensions of `csr` staged at `base`.
+CrsImage layout_crs_image(const Csr& csr, Addr base) {
   SMTU_CHECK_MSG(csr.validate(), "refusing to stage an invalid CSR matrix");
 
   CrsImage image;
@@ -33,18 +34,35 @@ CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
   image.jat = reserve(4 * image.nnz);
   image.iat = reserve(4 * (image.cols + 1));
   image.end = cursor;
+  return image;
+}
 
-  // One zeroed buffer with the three input arrays copied in whole (their
-  // element encodings match the machine's little-endian u32/f32 stores).
-  // An empty matrix's value/index vectors may have a null data(), which
-  // memcpy must never see.
-  bytes.assign(image.end - base, 0);
+// Copies the three input arrays whole into zeroed `out` (out[0] at address
+// `origin`); their element encodings match the machine's little-endian
+// u32/f32 stores. An empty matrix's value/index vectors may have a null
+// data(), which memcpy must never see.
+void write_crs_inputs(const Csr& csr, const CrsImage& image, Addr origin, std::span<u8> out) {
   if (image.nnz != 0) {
-    std::memcpy(bytes.data() + (image.an - base), csr.values().data(), 4 * image.nnz);
-    std::memcpy(bytes.data() + (image.ja - base), csr.col_idx().data(), 4 * image.nnz);
+    std::memcpy(out.data() + (image.an - origin), csr.values().data(), 4 * image.nnz);
+    std::memcpy(out.data() + (image.ja - origin), csr.col_idx().data(), 4 * image.nnz);
   }
-  std::memcpy(bytes.data() + (image.ia - base), csr.row_ptr().data(),
-              4 * (image.rows + 1));
+  std::memcpy(out.data() + (image.ia - origin), csr.row_ptr().data(), 4 * (image.rows + 1));
+}
+
+}  // namespace
+
+CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
+  const CrsImage image = layout_crs_image(csr, base);
+  bytes.assign(image.end - base, 0);
+  write_crs_inputs(csr, image, base, bytes);
+  return image;
+}
+
+CrsImage build_crs_image_into(const Csr& csr, Addr base, Addr origin, std::vector<u8>& out) {
+  SMTU_CHECK(origin <= base);
+  const CrsImage image = layout_crs_image(csr, base);
+  out.assign(image.ia + 4 * (image.rows + 1) - origin, 0);
+  write_crs_inputs(csr, image, origin, out);
   return image;
 }
 
@@ -65,7 +83,7 @@ Coo read_back_crs_transpose(const vsim::Memory& mem, const CrsImage& image) {
     const u32 end = mem.read_u32(image.iat + 4 * (row + 1));
     SMTU_CHECK_MSG(begin <= end && end <= image.nnz, "IAT is not monotone");
     for (u32 k = begin; k < end; ++k) {
-      coo.entries().push_back({row, mem.read_u32(image.jat + 4 * k),
+      coo.entries().push_back({static_cast<u32>(row), mem.read_u32(image.jat + 4 * k),
                                mem.read_f32(image.ant + 4 * k)});
     }
     begin = end;
@@ -84,8 +102,8 @@ HismMatrix read_back_hism(const vsim::Machine& machine, const HismImage& image,
                           bool swap_dims) {
   const vsim::Memory& mem = machine.memory();
   const std::span<const u8> raw = mem.raw();
-  SMTU_CHECK(image.base + image.bytes.size() <= raw.size());
-  const std::span<const u8> window = raw.subspan(image.base, image.bytes.size());
+  SMTU_CHECK(image.end <= raw.size());
+  const std::span<const u8> window = raw.subspan(image.base, image.end - image.base);
   const Index rows = swap_dims ? image.cols : image.rows;
   const Index cols = swap_dims ? image.rows : image.cols;
   return decode_hism_image(window, image.base, image.root_addr, image.root_len,

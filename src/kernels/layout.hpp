@@ -28,9 +28,14 @@ struct CrsImage {
 
 // Serializes AN/JA/IA at their image addresses into `bytes`, which on
 // return covers [base, image.end); the output arrays stay zeroed. stage_crs
-// writes it into machine memory as one block, and the stage cache
-// (kernels/staging.hpp) wraps it in a shared snapshot.
+// writes it into machine memory as one block.
 CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes);
+
+// The same input arrays serialized into `out`, which on return covers
+// [origin, end of IA) with out[0] at address `origin` <= base: the all-zero
+// output arrays past IA are left out. The stage cache (kernels/staging.hpp)
+// builds its snapshot in place with origin 0.
+CrsImage build_crs_image_into(const Csr& csr, Addr base, Addr origin, std::vector<u8>& out);
 
 // Writes AN/JA/IA into machine memory and reserves zeroed output arrays.
 CrsImage stage_crs(vsim::Machine& machine, const Csr& csr, Addr base = kImageBase);

@@ -236,7 +236,7 @@ Addr stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr& b) {
     const HismMatrix hism = HismMatrix::from_coo(a, section, HighLevelOrder::kRowMajor);
     const HismImage image = build_hism_image(hism, kImageBase);
     mem.write_block(image.base, image.bytes);
-    cursor = image.base + image.bytes.size();
+    cursor = image.end;
     root_addr = image.root_addr;
     root_len = image.root_len;
     levels = image.levels;

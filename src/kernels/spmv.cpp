@@ -284,7 +284,7 @@ SpmvResult run_hism_spmv_impl(const HismMatrix& hism, const std::vector<float>& 
 
   vsim::Machine machine(config);
   const HismImage image = stage_hism(machine, hism);
-  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
+  const Addr x_addr = round_up(image.end, 16);
   const Addr y_addr = stage_floats(machine, x_addr, x);
   machine.memory().ensure(y_addr, 4 * std::max<u64>(1, y_size));  // zeroed y
 

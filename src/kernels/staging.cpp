@@ -1,7 +1,7 @@
 #include "kernels/staging.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "support/assert.hpp"
 #include "support/telemetry.hpp"
@@ -11,23 +11,22 @@ namespace {
 
 // The size vsim::Memory's geometric growth (4096, doubling) would give a
 // fresh memory after staging [0, end) — matching it keeps reads past the
-// image (which return zero) behaving exactly like the per-machine path.
+// image (which return zero) behaving exactly like the per-machine path. It
+// is the snapshot's logical size; only its non-zero prefix is stored.
 u64 grown_size(u64 end) {
   u64 size = 4096;
   while (size < end) size *= 2;
   return size;
 }
 
-std::shared_ptr<const std::vector<u8>> make_snapshot(Addr base,
-                                                     std::span<const u8> image_bytes) {
-  auto snapshot =
-      std::make_shared<std::vector<u8>>(grown_size(base + image_bytes.size()), u8{0});
-  // An empty matrix stages an empty image whose data() may be null, which
-  // memcpy must never see.
-  if (!image_bytes.empty()) {
-    std::memcpy(snapshot->data() + base, image_bytes.data(), image_bytes.size());
-  }
-  return snapshot;
+// `image` (a memory image from address zero) without its trailing zero
+// bytes, which the snapshot's logical size covers instead. The cut is
+// normally the zero high bytes of the image's last word, so shrinking in
+// place (no reallocation, no second copy) leaves no more than that unused.
+std::shared_ptr<const std::vector<u8>> make_snapshot(std::vector<u8> image) {
+  const auto last = std::find_if(image.rbegin(), image.rend(), [](u8 byte) { return byte != 0; });
+  image.resize(static_cast<usize>(image.rend() - last));
+  return std::make_shared<const std::vector<u8>>(std::move(image));
 }
 
 // Two 64-bit multiply-xorshift lanes over whole words. In-process only, so
@@ -76,8 +75,10 @@ HismStage build_hism_stage(HismMatrix hism) {
   telemetry::HostSpan span("stage.build_us");
   HismStage stage;
   stage.hism = std::move(hism);
-  stage.image = build_hism_image(stage.hism, kImageBase);
-  stage.snapshot = make_snapshot(stage.image.base, stage.image.bytes);
+  std::vector<u8> image;
+  stage.image = build_hism_image_into(stage.hism, kImageBase, 0, image);
+  stage.snapshot = make_snapshot(std::move(image));
+  stage.snapshot_size = grown_size(stage.image.end);
   return stage;
 }
 
@@ -85,9 +86,10 @@ CrsStage build_crs_stage(Csr csr) {
   telemetry::HostSpan span("stage.build_us");
   CrsStage stage;
   stage.csr = std::move(csr);
-  std::vector<u8> bytes;
-  stage.image = build_crs_image(stage.csr, kImageBase, bytes);
-  stage.snapshot = make_snapshot(kImageBase, bytes);
+  std::vector<u8> image;
+  stage.image = build_crs_image_into(stage.csr, kImageBase, 0, image);
+  stage.snapshot = make_snapshot(std::move(image));
+  stage.snapshot_size = grown_size(stage.image.end);
   return stage;
 }
 

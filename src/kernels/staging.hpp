@@ -6,10 +6,13 @@
 // copy-on-write (vsim::Memory::attach_base). Ablation ladders sweeping N
 // configs over one matrix then share one image instead of rebuilding N.
 //
-// The snapshot covers [0, size) from address zero with the image at its
-// usual kImageBase, sized exactly as vsim::Memory's geometric growth would
-// have sized a freshly staged memory — reads behave bit-identically to the
-// per-machine staging path.
+// The snapshot is the stage's only copy of the image bytes. It covers
+// [0, snapshot_size) from address zero with the image at its usual
+// kImageBase. snapshot_size is what vsim::Memory's geometric growth would
+// have sized a freshly staged memory, so reads behave bit-identically to the
+// per-machine staging path; only the prefix up to the last non-zero byte is
+// stored, and the zeros past it (the growth tail, and for CRS the output
+// arrays) are the snapshot's implicit tail.
 #pragma once
 
 #include <future>
@@ -25,12 +28,14 @@
 
 namespace smtu::kernels {
 
-// A HiSM matrix staged once: the hierarchy, its memory image descriptor,
-// and the shared byte snapshot machines attach.
+// A HiSM matrix staged once: the hierarchy, its memory image descriptor
+// (`image.bytes` stays empty) and the shared byte snapshot machines attach
+// with attach_base(snapshot, snapshot_size).
 struct HismStage {
   HismMatrix hism;
   HismImage image;
   std::shared_ptr<const std::vector<u8>> snapshot;
+  u64 snapshot_size = 0;
 };
 
 // A CRS matrix staged once (input arrays serialized, outputs zeroed).
@@ -38,6 +43,7 @@ struct CrsStage {
   Csr csr;
   CrsImage image;
   std::shared_ptr<const std::vector<u8>> snapshot;
+  u64 snapshot_size = 0;
 };
 
 // Stage builders (also usable without the cache).

@@ -4,22 +4,42 @@
 
 #include "support/assert.hpp"
 #include "support/strings.hpp"
+#include "support/telemetry.hpp"
 
 namespace smtu::vsim {
 
-void Memory::attach_base(std::shared_ptr<const std::vector<u8>> base) {
+void Memory::attach_base(std::shared_ptr<const std::vector<u8>> base, u64 size) {
   SMTU_CHECK_MSG(base != nullptr, "attach_base: null snapshot");
-  SMTU_CHECK_MSG(base->size() <= limit_, "attach_base: snapshot exceeds the memory limit");
+  SMTU_CHECK_MSG(base->size() <= size, "attach_base: snapshot stores more than its size");
+  SMTU_CHECK_MSG(size <= limit_, "attach_base: snapshot exceeds the memory limit");
   bytes_.clear();
   base_ = std::move(base);
+  size_ = size;
   refresh_view();
 }
 
-void Memory::privatize() {
+void Memory::attach_base(std::shared_ptr<const std::vector<u8>> base) {
+  SMTU_CHECK_MSG(base != nullptr, "attach_base: null snapshot");
+  const u64 size = base->size();
+  attach_base(std::move(base), size);
+}
+
+void Memory::privatize() const {
   if (base_ == nullptr) return;
+  bytes_.reserve(size_);
   bytes_.assign(base_->begin(), base_->end());
+  bytes_.resize(size_, u8{0});
+  if (telemetry::enabled()) telemetry::counter("mem.privatized_bytes_total").add(size_);
   base_.reset();
   refresh_view();
+}
+
+void Memory::read_slow(Addr addr, u64 len) const {
+  const u64 end = addr + len;
+  SMTU_CHECK_MSG(end >= addr && end <= size_,
+                 format("read at 0x%llx beyond allocated memory",
+                        static_cast<unsigned long long>(addr)));
+  privatize();
 }
 
 void Memory::ensure_slow(Addr addr, u64 len) {
@@ -36,12 +56,6 @@ void Memory::ensure_slow(Addr addr, u64 len) {
     bytes_.resize(std::min(new_size, limit_), 0);
   }
   refresh_view();
-}
-
-void Memory::read_out_of_bounds(Addr addr) const {
-  SMTU_CHECK_MSG(false, format("read at 0x%llx beyond allocated memory",
-                               static_cast<unsigned long long>(addr)));
-  __builtin_unreachable();
 }
 
 float Memory::read_f32(Addr addr) const { return std::bit_cast<float>(read_u32(addr)); }

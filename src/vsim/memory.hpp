@@ -9,12 +9,20 @@
 // image, and the first write privatizes a full copy. This is what lets
 // ablation ladders stop re-staging identical matrix images per config.
 //
+// A snapshot is compact: it stores only the bytes [0, stored) and carries a
+// logical size >= stored, with [stored, logical) an implicit zero tail. The
+// memory looks exactly like a private one of the logical size: size() and
+// raw() report the logical length, reads in the tail return zero and reads
+// at or past the logical size abort. Privatizing (first write, or the first
+// read that touches the tail) allocates the logical size: the stored bytes,
+// then zeros.
+//
 // The accessors are structured for the interpreter's hot loop: the common
 // case (in-bounds read through the cached view, in-bounds write into private
 // storage) is a branch plus a memcpy, inline at every call site; the rare
-// cases (grow, privatize, out-of-bounds abort) live out of line. The span
-// accessors amortize that branch to one bounds check per vector instruction
-// for contiguous accesses.
+// cases (grow, privatize, tail read, out-of-bounds abort) live out of line.
+// The span accessors amortize that branch to one bounds check per vector
+// instruction for contiguous accesses.
 #pragma once
 
 #include <cstring>
@@ -30,12 +38,15 @@ class Memory {
  public:
   explicit Memory(u64 limit_bytes = u64{1} << 30) : limit_(limit_bytes) {}
 
-  u64 size() const { return view_size_; }
+  u64 size() const { return size_; }
   u64 limit() const { return limit_; }
 
-  // Attaches `base` as a shared immutable snapshot covering [0, base->size()).
-  // Reads are served from it until the first write copies it into private
+  // Attaches `base` as a shared immutable snapshot covering [0, size): the
+  // stored bytes, then zeros up to `size` (>= base->size()). Reads are served
+  // from it until the first write or tail read copies it into private
   // storage. Replaces any previously attached snapshot or private content.
+  void attach_base(std::shared_ptr<const std::vector<u8>> base, u64 size);
+  // A snapshot whose logical size is its stored size.
   void attach_base(std::shared_ptr<const std::vector<u8>> base);
 
   // Grows the backing store to cover [0, addr + len); aborts past the limit.
@@ -89,40 +100,52 @@ class Memory {
     return bytes_.data() + addr;
   }
 
-  // Bulk host-side access for laying out workload images. raw() never
-  // privatizes an attached snapshot.
+  // Bulk host-side access for laying out workload images. raw() privatizes
+  // an attached snapshot only when it has an implicit zero tail.
   void write_block(Addr addr, std::span<const u8> data);
-  std::span<const u8> raw() const { return {view_, view_size_}; }
+  std::span<const u8> raw() const {
+    if (view_size_ != size_) [[unlikely]] privatize();
+    return {view_, size_};
+  }
 
  private:
+  // Past the view: a read of a snapshot's zero tail privatizes, anything
+  // else aborts. Either way the hot path stays one compare.
   void check_readable(Addr addr, u64 len) const {
-    if (addr + len > view_size_ || addr + len < addr) [[unlikely]] read_out_of_bounds(addr);
+    if (addr + len > view_size_ || addr + len < addr) [[unlikely]] read_slow(addr, len);
   }
   bool writable(Addr addr, u64 len) const {
     return base_ == nullptr && addr + len <= bytes_.size() && addr + len >= addr;
   }
-  [[noreturn]] void read_out_of_bounds(Addr addr) const;
+  // Privatizes for a read inside [view_size_, size_); aborts past size_.
+  void read_slow(Addr addr, u64 len) const;
   // Grow/privatize/abort tail of ensure() (first write, growth, limit).
   void ensure_slow(Addr addr, u64 len);
-  // Copies an attached snapshot into private storage (first write).
-  void privatize();
-  void refresh_view() {
+  // Copies an attached snapshot into private storage of the logical size.
+  // Const because a tail read privatizes: the content seen does not change.
+  void privatize() const;
+  void refresh_view() const {
     if (base_ != nullptr) {
       view_ = base_->data();
       view_size_ = base_->size();
     } else {
       view_ = bytes_.data();
-      view_size_ = bytes_.size();
+      view_size_ = size_ = bytes_.size();
     }
   }
 
   u64 limit_;
-  std::vector<u8> bytes_;
-  std::shared_ptr<const std::vector<u8>> base_;
-  // Cached read window (the snapshot until privatized, bytes_ after) so hot
-  // reads skip the base_/bytes_ branch.
-  const u8* view_ = nullptr;
-  u64 view_size_ = 0;
+  // The storage state is mutable so that reads of a snapshot's zero tail,
+  // which are const, can privatize.
+  mutable std::vector<u8> bytes_;
+  mutable std::shared_ptr<const std::vector<u8>> base_;
+  // Cached read window (the snapshot's stored bytes until privatized, bytes_
+  // after) so hot reads skip the base_/bytes_ branch.
+  mutable const u8* view_ = nullptr;
+  mutable u64 view_size_ = 0;
+  // Logical size: bytes_.size() when private, the snapshot's logical size
+  // while attached.
+  mutable u64 size_ = 0;
 };
 
 }  // namespace smtu::vsim

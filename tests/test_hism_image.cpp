@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "hism/image.hpp"
 #include "hism/transpose.hpp"
 #include "kernels/layout.hpp"
+#include "kernels/staging.hpp"
 #include "suite/dsab.hpp"
 #include "testing.hpp"
+#include "vsim/memory.hpp"
 
 namespace smtu {
 namespace {
@@ -115,9 +118,11 @@ struct GoldenCase {
   const char* crs_hash;
 };
 
-std::string hism_image_hash(const HismImage& image) {
+// `bytes` is the image content [base, end): image.bytes, or the same window
+// of a memory a stage is attached to.
+std::string hism_image_hash(const HismImage& image, std::span<const u8> bytes) {
   testing::SimHash hash;
-  hash.update(image.bytes);
+  hash.update(bytes);
   for (const u64 field : {image.base, image.root_addr, static_cast<u64>(image.root_len),
                           static_cast<u64>(image.levels), static_cast<u64>(image.section),
                           image.rows, image.cols}) {
@@ -126,7 +131,9 @@ std::string hism_image_hash(const HismImage& image) {
   return hash.hex();
 }
 
-std::string crs_image_hash(const kernels::CrsImage& image, const std::vector<u8>& bytes) {
+std::string hism_image_hash(const HismImage& image) { return hism_image_hash(image, image.bytes); }
+
+std::string crs_image_hash(const kernels::CrsImage& image, std::span<const u8> bytes) {
   testing::SimHash hash;
   hash.update(bytes);
   for (const u64 field : {image.an, image.ja, image.ia, image.ant, image.jat, image.iat,
@@ -214,6 +221,55 @@ TEST(HismImageGolden, StagedBytesMatchCapturedHashes) {
     const kernels::CrsImage crs =
         kernels::build_crs_image(Csr::from_coo(golden.matrix), kernels::kImageBase, bytes);
     EXPECT_EQ(crs_image_hash(crs, bytes), golden.crs_hash);
+  }
+}
+
+// The stage cache builds its snapshots in place and stores only their
+// non-zero prefix; a machine attached to one must still see the golden
+// image bytes at [base, end).
+TEST(HismImageGolden, StageSnapshotsMatchCapturedHashes) {
+  for (const GoldenCase& golden : golden_cases()) {
+    SCOPED_TRACE(golden.name);
+    const kernels::HismStage hism = kernels::build_hism_stage(
+        HismMatrix::from_coo(golden.matrix, golden.section, golden.order));
+    vsim::Memory hism_memory;
+    hism_memory.attach_base(hism.snapshot, hism.snapshot_size);
+    EXPECT_EQ(hism_image_hash(hism.image, hism_memory.raw().subspan(
+                                              hism.image.base, hism.image.end - hism.image.base)),
+              golden.hism_hash);
+
+    const kernels::CrsStage crs = kernels::build_crs_stage(Csr::from_coo(golden.matrix));
+    vsim::Memory crs_memory;
+    crs_memory.attach_base(crs.snapshot, crs.snapshot_size);
+    EXPECT_EQ(crs_image_hash(crs.image, crs_memory.raw().subspan(
+                                            kernels::kImageBase, crs.image.end - kernels::kImageBase)),
+              golden.crs_hash);
+  }
+}
+
+// The stored prefix ends at the last non-zero byte, so the snapshot's bytes
+// and its implicit tail never overlap, and it is the stage's only copy of
+// the image.
+void expect_compact(const std::vector<u8>& snapshot, u64 snapshot_size, Addr image_end) {
+  ASSERT_FALSE(snapshot.empty());
+  EXPECT_NE(snapshot.back(), 0u);
+  EXPECT_LE(snapshot.size(), image_end);
+  EXPECT_GE(snapshot_size, image_end);
+  EXPECT_LT(snapshot.capacity() - snapshot.size(), 4u);  // trimmed in place, at most a word
+}
+
+TEST(HismImageGolden, SuiteStagesStoreTheirNonZeroBytesOnce) {
+  suite::SuiteOptions options;
+  options.scale = 0.05;
+  for (const suite::SuiteMatrix& entry : suite::build_dsab_suite(options)) {
+    SCOPED_TRACE(entry.name);
+    const kernels::HismStage hism =
+        kernels::build_hism_stage(HismMatrix::from_coo(entry.matrix, 64));
+    EXPECT_TRUE(hism.image.bytes.empty());
+    expect_compact(*hism.snapshot, hism.snapshot_size, hism.image.end);
+    const kernels::CrsStage crs = kernels::build_crs_stage(Csr::from_coo(entry.matrix));
+    expect_compact(*crs.snapshot, crs.snapshot_size, crs.image.end);
+    EXPECT_LE(crs.snapshot->size(), crs.image.ant);  // the zero outputs are not stored
   }
 }
 

@@ -86,6 +86,48 @@ TEST(MatrixMarketRobustness, MalformedInputsThrowWithLineNumbers) {
   }
 }
 
+// COO coordinates are 32-bit: a declared dimension past 2^32 - 1 must be
+// refused, not truncated into a different matrix.
+TEST(MatrixMarketRobustness, DimensionsPast32BitsThrow) {
+  const char* cases[] = {
+      "%%MatrixMarket matrix coordinate real general\n4294967296 2 1\n1 1 1\n",
+      "%%MatrixMarket matrix coordinate real general\n2 4294967296 1\n1 1 1\n",
+      "%%MatrixMarket matrix coordinate pattern symmetric\n18446744073709551615 3 0\n",
+      "%%MatrixMarket matrix array real general\n4294967296 1\n1.0\n",
+      "%%MatrixMarket matrix array real general\n1 4294967297\n1.0\n",
+  };
+  for (const char* source : cases) {
+    std::istringstream in(source);
+    EXPECT_THROW(read_matrix_market(in), std::runtime_error) << source;
+  }
+}
+
+TEST(MatrixMarketRobustness, LargestDimensionsStillRead) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n4294967295 4294967295 2\n"
+      "4294967295 1 2.5\n1 4294967295 -1\n");
+  const Coo coo = read_matrix_market(in);
+  EXPECT_EQ(coo.rows(), kMaxCooDim);
+  EXPECT_EQ(coo.cols(), kMaxCooDim);
+  ASSERT_EQ(coo.nnz(), 2u);
+  EXPECT_EQ(coo.entries()[0], (CooEntry{0, 4294967294u, -1.0f}));
+  EXPECT_EQ(coo.entries()[1], (CooEntry{4294967294u, 0, 2.5f}));
+}
+
+TEST(CooRobustnessDeathTest, DimensionsPast32BitsAbort) {
+  EXPECT_DEATH(Coo(kMaxCooDim + 1, 1), "32-bit");
+  EXPECT_DEATH(Coo(1, kMaxCooDim + 1), "32-bit");
+  EXPECT_DEATH(Coo(kMaxCooDim + 1, 1, {}), "32-bit");
+}
+
+TEST(CooRobustnessDeathTest, AddPast32BitsAborts) {
+  Coo coo(kMaxCooDim, kMaxCooDim);
+  coo.add(kMaxCooDim - 1, kMaxCooDim - 1, 1.0f);  // the last cell fits
+  EXPECT_EQ(coo.entries().back().row, 4294967294u);
+  EXPECT_DEATH(coo.add(kMaxCooDim, 0, 1.0f), "out of bounds");
+  EXPECT_DEATH(coo.add(0, u64{1} << 32, 1.0f), "out of bounds");
+}
+
 TEST(MachineRobustness, RerunningAProgramIsDeterministic) {
   vsim::Machine machine{vsim::MachineConfig{}};
   const vsim::Program program = vsim::assemble(

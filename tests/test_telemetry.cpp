@@ -10,12 +10,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "formats/coo.hpp"
 #include "kernels/staging.hpp"
+#include "vsim/memory.hpp"
 #include "vsim/program_cache.hpp"
 
 namespace smtu::telemetry {
@@ -360,6 +362,45 @@ TEST(CacheCounters, StageCacheScript) {
   EXPECT_EQ(counter("cache.stage.misses_total").value(), 4u);
   EXPECT_GT(counter("cache.stage.bytes_total").value(), 0u);
   EXPECT_EQ(histogram("cache.stage.lookup_us").snapshot().count, 6u);
+}
+
+// bytes_total counts what a stage stores: its snapshot's non-zero prefix,
+// not the logical size machines see.
+TEST(CacheCounters, StageBytesCountStoredSnapshotBytes) {
+  TelemetryGuard guard;
+  auto& cache = kernels::MatrixStageCache::instance();
+  cache.clear();
+  MetricsRegistry::instance().reset_for_tests();
+  set_enabled(true);
+
+  Coo coo(300, 300);
+  for (Index i = 0; i < 300; i += 3) coo.add(i, (7 * i) % 300, 1.0f + static_cast<float>(i));
+  const auto hism = cache.hism(coo, 64);
+  const auto crs = cache.crs(coo);
+  EXPECT_EQ(counter("cache.stage.bytes_total").value(),
+            hism->snapshot->size() + crs->snapshot->size());
+  EXPECT_LT(hism->snapshot->size(), hism->snapshot_size);
+  EXPECT_LT(crs->snapshot->size(), crs->snapshot_size);
+}
+
+// A memory attached to a compact snapshot counts the logical size once, at
+// its first write; reads of the stored prefix and later writes add nothing.
+TEST(CacheCounters, PrivatizedBytesCountTheLogicalSizeOnce) {
+  TelemetryGuard guard;
+  set_enabled(true);
+  auto snapshot = std::make_shared<std::vector<u8>>(100, u8{1});
+  vsim::Memory memory;
+  memory.attach_base(snapshot, 8192);
+  EXPECT_EQ(memory.read_u8(5), 1u);
+  EXPECT_EQ(counter("mem.privatized_bytes_total").value(), 0u);
+  memory.write_u8(5, 2);
+  memory.write_u8(6000, 2);
+  EXPECT_EQ(counter("mem.privatized_bytes_total").value(), 8192u);
+
+  vsim::Memory tail_reader;
+  tail_reader.attach_base(snapshot, 4096);
+  EXPECT_EQ(tail_reader.read_u32(200), 0u);  // a tail read privatizes too
+  EXPECT_EQ(counter("mem.privatized_bytes_total").value(), 8192u + 4096u);
 }
 
 TEST(CacheCounters, CountersUntouchedWhileDisabled) {
