@@ -43,21 +43,25 @@ class Rng {
     return result;
   }
 
-  // Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
+  // Uniform integer in [0, bound), bias-free: modulo with rejection. A draw
+  // is rejected when it falls below (2^64 - bound) mod bound, which is
+  // itself below `bound`, so a draw >= bound is accepted without computing
+  // that threshold (one 64-bit division per draw instead of two).
   u64 below(u64 bound) {
-    SMTU_DCHECK(bound > 0);
-    // Rejection loop terminates quickly; bias-free.
-    const u64 threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+    SMTU_CHECK_MSG(bound > 0, "Rng::below needs a positive bound");
     while (true) {
       const u64 raw = next_u64();
-      if (raw >= threshold) return raw % bound;
+      if (raw >= bound || raw >= (~bound + 1) % bound) [[likely]] return raw % bound;
     }
   }
 
-  // Uniform integer in [lo, hi] inclusive.
+  // Uniform integer in [lo, hi] inclusive. The full i64 span (2^64 values)
+  // takes one raw draw; every narrower span goes through below().
   i64 range(i64 lo, i64 hi) {
     SMTU_DCHECK(lo <= hi);
-    return lo + static_cast<i64>(below(static_cast<u64>(hi - lo) + 1));
+    const u64 span = static_cast<u64>(hi) - static_cast<u64>(lo);
+    const u64 offset = span == ~u64{0} ? next_u64() : below(span + 1);
+    return static_cast<i64>(static_cast<u64>(lo) + offset);
   }
 
   // Uniform double in [0, 1).
@@ -69,7 +73,9 @@ class Rng {
   bool chance(double probability) { return uniform() < probability; }
 
   // Samples `count` distinct values from [0, population) in increasing order.
-  // Uses Floyd's algorithm for small count, a shuffle otherwise.
+  // Uses Floyd's algorithm for small count, a shuffle otherwise; the draws
+  // are a fixed function of (population, count), whichever set structure
+  // collects them.
   std::vector<u64> sample_without_replacement(u64 population, u64 count);
 
   // Fisher-Yates shuffle.

@@ -9,6 +9,7 @@
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "support/strings.hpp"
+#include "support/telemetry.hpp"
 #include "vsim/profiler.hpp"
 
 // Marks the element-wise inner loops that are safe to vectorize: every
@@ -549,174 +550,192 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   ++es.pc;
 }
 
-// Full execution of one scalar instruction: hazards, issue slot, memory
-// port, functional body, retirement, and (observed only) trace/profile.
-template <Op OP, bool kObserved>
+// One scalar instruction under the in-order issue model: hazards, issue
+// slot, memory port, functional body, retirement, and (observed only)
+// trace/profile. kUnobserved and kObserved run the whole instruction. The
+// two halves split it for the block-timing memo (Machine::run_to_halt):
+// kFunctional does the registers, memory, next pc and branch outcome and
+// nothing else (es.pc holds the fall-through pc throughout); kTiming does the rest — everything that touches the
+// scoreboard — with the outcome the functional half recorded, and leaves
+// es.pc alone. One template keeps the timing rules in one place.
+template <Op OP, HandlerMode kMode>
 void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  const Cycle profile_w_before = step_prologue<kObserved>(es, inst);
-  ++es.stats.scalar_instructions;
-  Cycle ready = es.pc_redirect;
-  StallReason stall_why = StallReason::kScalarFetch;
-  for (u32 i = 0; i < dec.num_sregs; ++i) {
-    const Cycle r = es.sreg_ready[dec.sregs[i]];
-    if (r > ready) {
-      ready = r;
-      stall_why = StallReason::kRawHazard;
+  constexpr bool kObserved = kMode == HandlerMode::kObserved;
+  constexpr bool kWhole = kMode == HandlerMode::kUnobserved || kObserved;
+  constexpr bool kTimed = kMode != HandlerMode::kFunctional;
+  constexpr bool kExecuted = kMode != HandlerMode::kTiming;
+  constexpr ResultLatency kLatency = op_result_latency(OP);
+  constexpr bool kBranch =
+      OP == Op::kBeq || OP == Op::kBne || OP == Op::kBlt || OP == Op::kBge;
+
+  [[maybe_unused]] Cycle profile_w_before = 0;
+  if constexpr (kWhole) {
+    profile_w_before = step_prologue<kObserved>(es, inst);
+    ++es.stats.scalar_instructions;
+  }
+  [[maybe_unused]] Cycle t_issue = 0;
+  [[maybe_unused]] Cycle profile_unblocked = 0;
+  [[maybe_unused]] StallReason stall_why = StallReason::kScalarFetch;
+  if constexpr (kTimed) {
+    Cycle ready = es.pc_redirect;
+    for (u32 i = 0; i < dec.num_sregs; ++i) {
+      const Cycle r = es.sreg_ready[dec.sregs[i]];
+      if (r > ready) {
+        ready = r;
+        stall_why = StallReason::kRawHazard;
+      }
     }
+    profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
+    t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
+    if (t_issue > ready) stall_why = StallReason::kIssueLimit;
+    if constexpr (op_scalar_mem(OP)) {
+      const Cycle slot = es.take_scalar_mem_slot(t_issue);
+      if (slot > t_issue) {
+        t_issue = slot;
+        stall_why = StallReason::kMemPort;
+      }
+    }
+    es.last_issue = t_issue;
+    es.bump_watermark(t_issue);
   }
 
-  const Cycle profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
-  Cycle t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
-  if (t_issue > ready) stall_why = StallReason::kIssueLimit;
-  if constexpr (op_scalar_mem(OP)) {
-    const Cycle slot = es.take_scalar_mem_slot(t_issue);
-    if (slot > t_issue) {
-      t_issue = slot;
-      stall_why = StallReason::kMemPort;
-    }
-  }
-  es.last_issue = t_issue;
-  es.bump_watermark(t_issue);
-
-  usize next_pc = es.pc + 1;
-  if constexpr (OP == Op::kLi) {
-    es.set_sreg(inst.a, static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kMv) {
-    es.set_sreg(inst.a, es.sreg(inst.b));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kAdd) {
-    es.set_sreg(inst.a, es.sreg(inst.b) + es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSub) {
-    es.set_sreg(inst.a, es.sreg(inst.b) - es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kMul) {
-    es.set_sreg(inst.a, es.sreg(inst.b) * es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
-  } else if constexpr (OP == Op::kAnd) {
-    es.set_sreg(inst.a, es.sreg(inst.b) & es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kOr) {
-    es.set_sreg(inst.a, es.sreg(inst.b) | es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kXor) {
-    es.set_sreg(inst.a, es.sreg(inst.b) ^ es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSll) {
-    es.set_sreg(inst.a, es.sreg(inst.b) << (es.sreg(inst.c) & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSrl) {
-    es.set_sreg(inst.a, es.sreg(inst.b) >> (es.sreg(inst.c) & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kMin) {
-    es.set_sreg(inst.a, std::min(es.sreg(inst.b), es.sreg(inst.c)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kMax) {
-    es.set_sreg(inst.a, std::max(es.sreg(inst.b), es.sreg(inst.c)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kFAdd) {
-    es.set_sreg(inst.a,
-                std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) +
-                                   std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
-  } else if constexpr (OP == Op::kFMul) {
-    es.set_sreg(inst.a,
-                std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) *
-                                   std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
-  } else if constexpr (OP == Op::kAddi) {
-    es.set_sreg(inst.a, es.sreg(inst.b) + static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kMuli) {
-    es.set_sreg(inst.a, es.sreg(inst.b) * static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
-  } else if constexpr (OP == Op::kAndi) {
-    es.set_sreg(inst.a, es.sreg(inst.b) & static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSlli) {
-    es.set_sreg(inst.a, es.sreg(inst.b) << (inst.imm & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSrli) {
-    es.set_sreg(inst.a, es.sreg(inst.b) >> (inst.imm & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kLw) {
-    es.set_sreg(inst.a, es.memory->read_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
-  } else if constexpr (OP == Op::kLhu) {
-    es.set_sreg(inst.a, es.memory->read_u16(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
-  } else if constexpr (OP == Op::kLbu) {
-    es.set_sreg(inst.a, es.memory->read_u8(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
-  } else if constexpr (OP == Op::kSw) {
-    es.memory->write_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm),
-                         static_cast<u32>(es.sreg(inst.a)));
-  } else if constexpr (OP == Op::kSh) {
-    es.memory->write_u16(es.sreg(inst.b) + static_cast<u64>(inst.imm),
-                         static_cast<u16>(es.sreg(inst.a)));
-  } else if constexpr (OP == Op::kSb) {
-    es.memory->write_u8(es.sreg(inst.b) + static_cast<u64>(inst.imm),
-                        static_cast<u8>(es.sreg(inst.a)));
-  } else if constexpr (OP == Op::kAmoAdd) {
-    // Atomic fetch-and-add: atomicity comes for free because the system
-    // interleaves whole instructions; the memory round trip costs a
-    // scalar load latency.
-    const Addr addr = es.sreg(inst.b) + static_cast<u64>(inst.imm);
-    const u32 old = es.memory->read_u32(addr);
-    es.memory->write_u32(addr, old + static_cast<u32>(es.sreg(inst.c)));
-    es.set_sreg(inst.a, old);
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
-  } else if constexpr (OP == Op::kBeq || OP == Op::kBne || OP == Op::kBlt || OP == Op::kBge) {
-    const i64 lhs = static_cast<i64>(es.sreg(inst.a));
-    const i64 rhs = static_cast<i64>(es.sreg(inst.b));
-    bool taken = false;
-    if constexpr (OP == Op::kBeq) taken = lhs == rhs;
-    else if constexpr (OP == Op::kBne) taken = lhs != rhs;
-    else if constexpr (OP == Op::kBlt) taken = lhs < rhs;
-    else taken = lhs >= rhs;
-    if (taken) {
+  // The functional half runs with es.pc already at the block's fall-through
+  // pc (one past its terminator), so only a control transfer writes it.
+  [[maybe_unused]] const usize fall_through =
+      kMode == HandlerMode::kFunctional ? es.pc : es.pc + 1;
+  [[maybe_unused]] usize next_pc = fall_through;
+  [[maybe_unused]] bool taken = false;
+  if constexpr (kExecuted) {
+    if constexpr (OP == Op::kLi) {
+      es.set_sreg(inst.a, static_cast<u64>(inst.imm));
+    } else if constexpr (OP == Op::kMv) {
+      es.set_sreg(inst.a, es.sreg(inst.b));
+    } else if constexpr (OP == Op::kAdd) {
+      es.set_sreg(inst.a, es.sreg(inst.b) + es.sreg(inst.c));
+    } else if constexpr (OP == Op::kSub) {
+      es.set_sreg(inst.a, es.sreg(inst.b) - es.sreg(inst.c));
+    } else if constexpr (OP == Op::kMul) {
+      es.set_sreg(inst.a, es.sreg(inst.b) * es.sreg(inst.c));
+    } else if constexpr (OP == Op::kAnd) {
+      es.set_sreg(inst.a, es.sreg(inst.b) & es.sreg(inst.c));
+    } else if constexpr (OP == Op::kOr) {
+      es.set_sreg(inst.a, es.sreg(inst.b) | es.sreg(inst.c));
+    } else if constexpr (OP == Op::kXor) {
+      es.set_sreg(inst.a, es.sreg(inst.b) ^ es.sreg(inst.c));
+    } else if constexpr (OP == Op::kSll) {
+      es.set_sreg(inst.a, es.sreg(inst.b) << (es.sreg(inst.c) & 63));
+    } else if constexpr (OP == Op::kSrl) {
+      es.set_sreg(inst.a, es.sreg(inst.b) >> (es.sreg(inst.c) & 63));
+    } else if constexpr (OP == Op::kMin) {
+      es.set_sreg(inst.a, std::min(es.sreg(inst.b), es.sreg(inst.c)));
+    } else if constexpr (OP == Op::kMax) {
+      es.set_sreg(inst.a, std::max(es.sreg(inst.b), es.sreg(inst.c)));
+    } else if constexpr (OP == Op::kFAdd) {
+      es.set_sreg(inst.a,
+                  std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) +
+                                     std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
+    } else if constexpr (OP == Op::kFMul) {
+      es.set_sreg(inst.a,
+                  std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) *
+                                     std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
+    } else if constexpr (OP == Op::kAddi) {
+      es.set_sreg(inst.a, es.sreg(inst.b) + static_cast<u64>(inst.imm));
+    } else if constexpr (OP == Op::kMuli) {
+      es.set_sreg(inst.a, es.sreg(inst.b) * static_cast<u64>(inst.imm));
+    } else if constexpr (OP == Op::kAndi) {
+      es.set_sreg(inst.a, es.sreg(inst.b) & static_cast<u64>(inst.imm));
+    } else if constexpr (OP == Op::kSlli) {
+      es.set_sreg(inst.a, es.sreg(inst.b) << (inst.imm & 63));
+    } else if constexpr (OP == Op::kSrli) {
+      es.set_sreg(inst.a, es.sreg(inst.b) >> (inst.imm & 63));
+    } else if constexpr (OP == Op::kLw) {
+      es.set_sreg(inst.a, es.memory->read_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
+    } else if constexpr (OP == Op::kLhu) {
+      es.set_sreg(inst.a, es.memory->read_u16(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
+    } else if constexpr (OP == Op::kLbu) {
+      es.set_sreg(inst.a, es.memory->read_u8(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
+    } else if constexpr (OP == Op::kSw) {
+      es.memory->write_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm),
+                           static_cast<u32>(es.sreg(inst.a)));
+    } else if constexpr (OP == Op::kSh) {
+      es.memory->write_u16(es.sreg(inst.b) + static_cast<u64>(inst.imm),
+                           static_cast<u16>(es.sreg(inst.a)));
+    } else if constexpr (OP == Op::kSb) {
+      es.memory->write_u8(es.sreg(inst.b) + static_cast<u64>(inst.imm),
+                          static_cast<u8>(es.sreg(inst.a)));
+    } else if constexpr (OP == Op::kAmoAdd) {
+      // Atomic fetch-and-add: atomicity comes for free because the system
+      // interleaves whole instructions; the memory round trip costs a
+      // scalar load latency.
+      const Addr addr = es.sreg(inst.b) + static_cast<u64>(inst.imm);
+      const u32 old = es.memory->read_u32(addr);
+      es.memory->write_u32(addr, old + static_cast<u32>(es.sreg(inst.c)));
+      es.set_sreg(inst.a, old);
+    } else if constexpr (kBranch) {
+      const i64 lhs = static_cast<i64>(es.sreg(inst.a));
+      const i64 rhs = static_cast<i64>(es.sreg(inst.b));
+      if constexpr (OP == Op::kBeq) taken = lhs == rhs;
+      else if constexpr (OP == Op::kBne) taken = lhs != rhs;
+      else if constexpr (OP == Op::kBlt) taken = lhs < rhs;
+      else taken = lhs >= rhs;
+      if (taken) next_pc = static_cast<usize>(inst.imm);
+    } else if constexpr (OP == Op::kJal) {
+      es.set_sreg(inst.a, static_cast<u64>(fall_through));
       next_pc = static_cast<usize>(inst.imm);
-      es.pc_redirect = t_issue + 1 + es.branch_penalty;
+    } else if constexpr (OP == Op::kJr) {
+      next_pc = static_cast<usize>(es.sreg(inst.a));
+    } else if constexpr (OP == Op::kSsvl) {
+      const u64 remaining = es.sreg(inst.a);
+      es.vl = static_cast<u32>(std::min<u64>(es.section, remaining));
+      es.set_sreg(inst.a, remaining - es.vl);
+    } else if constexpr (OP == Op::kSetvl) {
+      es.vl = static_cast<u32>(std::min<u64>(es.section, es.sreg(inst.b)));
+      es.set_sreg(inst.a, es.vl);
+    } else if constexpr (OP == Op::kBarrier || OP == Op::kHalt || OP == Op::kNop) {
+      // barrier/halt act below, on the whole-instruction path only.
+    } else {
+      static_assert(always_false_op<OP>, "unhandled scalar op in execute");
     }
-  } else if constexpr (OP == Op::kJal) {
-    es.set_sreg(inst.a, static_cast<u64>(es.pc + 1));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-    next_pc = static_cast<usize>(inst.imm);
-    es.pc_redirect = t_issue + 1 + es.branch_penalty;
-  } else if constexpr (OP == Op::kJr) {
-    next_pc = static_cast<usize>(es.sreg(inst.a));
-    es.pc_redirect = t_issue + 1 + es.branch_penalty;
-  } else if constexpr (OP == Op::kSsvl) {
-    const u64 remaining = es.sreg(inst.a);
-    es.vl = static_cast<u32>(std::min<u64>(es.section, remaining));
-    es.set_sreg(inst.a, remaining - es.vl);
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-    es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kSetvl) {
-    es.vl = static_cast<u32>(std::min<u64>(es.section, es.sreg(inst.b)));
-    es.set_sreg(inst.a, es.vl);
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
-    es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
-  } else if constexpr (OP == Op::kBarrier) {
-    // Rendezvous: this core is done when everything it issued completes
-    // (the watermark). The trace/profiler sample is deferred to
-    // release_barrier(), where the wait's true extent is known.
-    es.status = StepStatus::kAtBarrier;
-    es.barrier_arrival = es.watermark;
-    es.barrier_issue = t_issue;
-    es.barrier_unblocked = profile_unblocked;
-    es.barrier_w_before = profile_w_before;
-    es.barrier_pc = es.pc;
-    es.barrier_why = stall_why;
-    es.pc = next_pc;
-    return;
-  } else if constexpr (OP == Op::kHalt) {
-    es.status = StepStatus::kHalted;
-  } else if constexpr (OP == Op::kNop) {
-    // nothing
-  } else {
-    static_assert(always_false_op<OP>, "unhandled scalar op in execute");
+  }
+  if constexpr (kMode == HandlerMode::kFunctional && op_block_terminator(OP)) {
+    es.block_taken = kBranch ? taken : true;
+  }
+
+  if constexpr (kTimed) {
+    if constexpr (kLatency != ResultLatency::kNone) {
+      const u32 latency = kLatency == ResultLatency::kMul    ? es.mul_latency
+                          : kLatency == ResultLatency::kLoad ? es.scalar_load_latency
+                                                             : es.scalar_op_latency;
+      es.retire_scalar(inst.a, t_issue + latency);
+    }
+    if constexpr (kBranch) {
+      if (kMode == HandlerMode::kTiming ? es.block_taken : taken) {
+        es.pc_redirect = t_issue + 1 + es.branch_penalty;
+      }
+    } else if constexpr (OP == Op::kJal || OP == Op::kJr) {
+      es.pc_redirect = t_issue + 1 + es.branch_penalty;
+    } else if constexpr (OP == Op::kSsvl || OP == Op::kSetvl) {
+      es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
+    }
+  }
+
+  if constexpr (kWhole) {
+    if constexpr (OP == Op::kBarrier) {
+      // Rendezvous: this core is done when everything it issued completes
+      // (the watermark). The trace/profiler sample is deferred to
+      // release_barrier(), where the wait's true extent is known.
+      es.status = StepStatus::kAtBarrier;
+      es.barrier_arrival = es.watermark;
+      es.barrier_issue = t_issue;
+      es.barrier_unblocked = profile_unblocked;
+      es.barrier_w_before = profile_w_before;
+      es.barrier_pc = es.pc;
+      es.barrier_why = stall_why;
+      es.pc = next_pc;
+      return;
+    } else if constexpr (OP == Op::kHalt) {
+      es.status = StepStatus::kHalted;
+    }
   }
   if constexpr (kObserved) {
     if (es.trace_sink != nullptr) [[unlikely]] {
@@ -729,36 +748,57 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
                            profile_unblocked, profile_w_before, es.watermark, 1});
     }
   }
-  es.pc = next_pc;
-}
-
-template <Op OP, bool kObserved>
-void op_entry(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  if constexpr (op_is_vector(OP)) {
-    exec_vector<OP, kObserved>(es, inst, dec);
-  } else {
-    exec_scalar<OP, kObserved>(es, inst, dec);
+  if constexpr (kWhole || op_block_terminator(OP)) {
+    if constexpr (kExecuted) es.pc = next_pc;
   }
 }
 
-// Both handler tables come from the one op_entry template: a handler edit
-// is made once, in the template, and lands in both.
-template <bool kObserved, usize... Is>
-constexpr std::array<OpHandler, kOpCount> make_handler_table(std::index_sequence<Is...>) {
-  return {&op_entry<static_cast<Op>(Is), kObserved>...};
+// The handler one table holds for one opcode. Vector ops have no halves:
+// they never sit in a ScalarBlock, and neither do barrier and halt.
+template <Op OP, HandlerMode kMode>
+constexpr OpHandler handler_for() {
+  constexpr bool kWhole = kMode == HandlerMode::kUnobserved || kMode == HandlerMode::kObserved;
+  if constexpr (op_is_vector(OP)) {
+    if constexpr (kWhole) {
+      return &exec_vector<OP, kMode == HandlerMode::kObserved>;
+    } else {
+      return nullptr;
+    }
+  } else if constexpr (!kWhole && (OP == Op::kBarrier || OP == Op::kHalt)) {
+    return nullptr;
+  } else {
+    return &exec_scalar<OP, kMode>;
+  }
 }
 
+// All four handler tables come from the two templates: a handler edit is
+// made once, in the template, and lands in every table.
+template <HandlerMode kMode, usize... Is>
+constexpr std::array<OpHandler, kOpCount> make_handler_table(std::index_sequence<Is...>) {
+  return {handler_for<static_cast<Op>(Is), kMode>()...};
+}
+
+template <HandlerMode kMode>
 constexpr std::array<OpHandler, kOpCount> kHandlerTable =
-    make_handler_table<false>(std::make_index_sequence<kOpCount>{});
-constexpr std::array<OpHandler, kOpCount> kObservedHandlerTable =
-    make_handler_table<true>(std::make_index_sequence<kOpCount>{});
+    make_handler_table<kMode>(std::make_index_sequence<kOpCount>{});
 
 }  // namespace
 
-OpHandler opcode_handler(Op op, bool observed) {
+OpHandler opcode_handler(Op op, HandlerMode mode) {
   const usize index = static_cast<usize>(op);
   SMTU_CHECK_MSG(index < kOpCount, "opcode out of range");
-  return observed ? kObservedHandlerTable[index] : kHandlerTable[index];
+  switch (mode) {
+    case HandlerMode::kUnobserved:
+      return kHandlerTable<HandlerMode::kUnobserved>[index];
+    case HandlerMode::kObserved:
+      return kHandlerTable<HandlerMode::kObserved>[index];
+    case HandlerMode::kFunctional:
+      return kHandlerTable<HandlerMode::kFunctional>[index];
+    case HandlerMode::kTiming:
+      return kHandlerTable<HandlerMode::kTiming>[index];
+  }
+  SMTU_CHECK_MSG(false, "handler mode out of range");
+  return nullptr;
 }
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
@@ -813,10 +853,17 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
   // generators) get a local decode so the hot loop has a single path.
   es_.insts = program.instructions.data();
   es_.decoded = program.decoded.data();
+  es_.blocks = program.blocks.data();
   es_.program_size = program.size();
   if (program.decoded.size() != program.instructions.size()) {
     local_decode_ = decode_instructions(program.instructions);
     es_.decoded = local_decode_.data();
+  }
+  if (program.blocks.size() != program.instructions.size()) {
+    local_blocks_ = describe_blocks(
+        program.instructions,
+        es_.decoded == local_decode_.data() ? local_decode_ : program.decoded);
+    es_.blocks = local_blocks_.data();
   }
   // Startup latencies by StartupKind, resolved from the config once per run
   // (indexed by the predecoded kind instead of re-deriving per dynamic
@@ -846,6 +893,9 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
   es_.stm_drain_free = 0;
   es_.vmem_last_indexed = false;
   es_.stats = {};
+  es_.memo_hits = 0;
+  es_.memo_misses = 0;
+  es_.memo_fast_forwards = 0;
   stm_before_ = es_.stm->stats();
   es_.pc = entry_pc;
   es_.status = StepStatus::kRunning;
@@ -897,17 +947,192 @@ RunStats Machine::finish_run() {
   es_.stats.stm_write_cycles = stm_stats.write_cycles - stm_before_.write_cycles;
   es_.stats.stm_read_cycles = stm_stats.read_cycles - stm_before_.read_cycles;
   if (es_.profiler != nullptr) es_.profiler->end_run(es_.stats.cycles);
+  if (telemetry::enabled()) {
+    static telemetry::Counter& hits = telemetry::counter("vsim.block_memo.hits_total");
+    static telemetry::Counter& misses = telemetry::counter("vsim.block_memo.misses_total");
+    static telemetry::Counter& fast_forwards =
+        telemetry::counter("vsim.block_memo.fast_forward_total");
+    hits.add(es_.memo_hits);
+    misses.add(es_.memo_misses);
+    fast_forwards.add(es_.memo_fast_forwards);
+  }
   return es_.stats;
+}
+
+// ---- block-timing memo (HACKING.md "Block-timing memo") --------------------
+
+namespace {
+
+// Entries one block may record; later states of a block past this many
+// run its timing pass unrecorded.
+constexpr u8 kMaxEntriesPerBlock = 16;
+
+// Packs the scoreboard state `block` depends on, relative to its base cycle
+// `base` = max(pc_redirect, last_issue): one byte per register for
+// max(0, ready - base), then the issue slot's fill when the slot sits at
+// base, the scalar memory port's likewise (blocks with memory ops) and the
+// vl ready offset (blocks that set vl). Every issue inside the block is at
+// or after base, so a time at or before base never binds it, and retirement
+// is max(old, t >= base): the clamped state times the block exactly as the
+// full one does. Fails (returns false) when a field does not fit a byte.
+bool block_key(const ExecState& es, const ScalarBlock& block, Cycle base, u64 (&key)[2]) {
+  u8 bytes[16] = {};
+  Cycle fields = 0;  // OR of every field: > 255 iff one of them is
+  for (u32 i = 0; i < block.num_regs; ++i) {
+    const Cycle ready = es.sreg_ready[block.regs[i]];
+    const Cycle offset = ready > base ? ready - base : 0;
+    fields |= offset;
+    bytes[i] = static_cast<u8>(offset);
+  }
+  if (es.issue_cycle == base) {
+    fields |= es.issue_used;
+    bytes[kMaxBlockRegs] = static_cast<u8>(es.issue_used);
+  }
+  if (block.scalar_mem && es.scalar_mem_cycle == base) {
+    fields |= es.scalar_mem_used;
+    bytes[kMaxBlockRegs + 1] = static_cast<u8>(es.scalar_mem_used);
+  }
+  if (block.sets_vl) {
+    const Cycle offset = es.vl_ready > base ? es.vl_ready - base : 0;
+    fields |= offset;
+    bytes[kMaxBlockRegs + 2] = static_cast<u8>(offset);
+  }
+  std::memcpy(key, bytes, sizeof(bytes));
+  return fields <= 0xff;
+}
+static_assert(kMaxBlockRegs + 3 == 16, "the key is 16 bytes: registers, issue, port, vl");
+
+// The block's timing pass, on the live timing state.
+void time_block(ExecState& es, const ScalarBlock& block, usize start) {
+  for (u32 i = 0; i < block.length; ++i) {
+    const DecodedInst& dec = es.decoded[start + i];
+    dec.timing_handler(es, es.insts[start + i], dec);
+  }
+}
+
+// Applies a recorded timing at base cycle `base`.
+void apply_timing(ExecState& es, const ScalarBlock& block, const BlockTiming& timing,
+                  Cycle base) {
+  es.last_issue = base + timing.last_issue;
+  es.issue_cycle = base + timing.issue_cycle;
+  es.issue_used = timing.issue_used;
+  if (block.scalar_mem) {
+    es.scalar_mem_cycle = base + timing.scalar_mem_cycle;
+    es.scalar_mem_used = timing.scalar_mem_used;
+  }
+  if (timing.taken) es.pc_redirect = base + timing.pc_redirect;
+  if (block.sets_vl) es.vl_ready = std::max(es.vl_ready, base + timing.vl_ready);
+  for (u32 i = 0; i < block.num_regs; ++i) {
+    if ((block.written >> i & 1u) == 0) continue;
+    Cycle& ready = es.sreg_ready[block.regs[i]];
+    ready = std::max(ready, base + timing.sreg_ready[i]);
+  }
+  es.bump_watermark(base + timing.watermark);
+}
+
+}  // namespace
+
+u32 Machine::time_block_from_memo(const ScalarBlock& block, usize start) {
+  ExecState& es = es_;
+  const bool taken = es.block_taken;
+  const Cycle base = std::max(es.pc_redirect, es.last_issue);
+  u64 key[2];
+  if (!block_key(es, block, base, key)) {
+    ++es.memo_misses;
+    time_block(es, block, start);
+    return BlockTiming::kNoEntry;
+  }
+  for (u32 index = memo_head_[start]; index != BlockTiming::kNoEntry;
+       index = memo_[index].next) {
+    const BlockTiming& timing = memo_[index];
+    if (timing.key[0] == key[0] && timing.key[1] == key[1] && timing.taken == taken) {
+      ++es.memo_hits;
+      apply_timing(es, block, timing, base);
+      return timing.fixed_point && es.pc == start ? index : BlockTiming::kNoEntry;
+    }
+  }
+
+  // Miss: time the block on the live state from a watermark of `base`, so
+  // the watermark it reaches is the block's own, then record the result.
+  ++es.memo_misses;
+  const Cycle watermark = es.watermark;
+  es.watermark = base;
+  time_block(es, block, start);
+  BlockTiming timing;
+  timing.key[0] = key[0];
+  timing.key[1] = key[1];
+  timing.taken = taken;
+  timing.issue_used = es.issue_used;
+  timing.last_issue = es.last_issue - base;
+  timing.issue_cycle = es.issue_cycle - base;
+  if (block.scalar_mem) {
+    timing.scalar_mem_used = es.scalar_mem_used;
+    timing.scalar_mem_cycle = es.scalar_mem_cycle - base;
+  }
+  if (taken) timing.pc_redirect = es.pc_redirect - base;
+  timing.vl_ready = es.vl_ready > base ? es.vl_ready - base : 0;
+  timing.watermark = es.watermark - base;
+  for (u32 i = 0; i < block.num_regs; ++i) {
+    const Cycle ready = es.sreg_ready[block.regs[i]];
+    timing.sreg_ready[i] = ready > base ? ready - base : 0;
+  }
+  es.watermark = std::max(watermark, es.watermark);
+  if (memo_count_[start] == kMaxEntriesPerBlock) return BlockTiming::kNoEntry;
+
+  // A taken iteration whose exit state carries its own key is a fixed
+  // point: every later iteration with the same outcome applies it again.
+  if (taken) {
+    u64 exit_key[2];
+    timing.fixed_point =
+        block_key(es, block, std::max(es.pc_redirect, es.last_issue), exit_key) &&
+        exit_key[0] == key[0] && exit_key[1] == key[1];
+  }
+  timing.next = memo_head_[start];
+  const u32 index = static_cast<u32>(memo_.size());
+  memo_.push_back(timing);
+  memo_head_[start] = index;
+  ++memo_count_[start];
+  return timing.fixed_point && es.pc == start ? index : BlockTiming::kNoEntry;
 }
 
 template <bool kObserved>
 void Machine::run_to_halt() {
   // The hot loop: indirect call through the pre-bound handler, no
-  // per-instruction status branching beyond the exit check.
+  // per-instruction status branching beyond the exit check. The unobserved
+  // loop runs a memoizable scalar block whole when the budget covers all of
+  // it, so a runaway program still aborts at the same instruction: first
+  // the block's functional halves (registers, memory, next pc, outcome),
+  // then its timing — applied straight from `fast_forward` when the
+  // previous iteration of this self-loop left the state keyed exactly as
+  // that entry is, else looked up (or recorded) by time_block_from_memo.
   ExecState& es = es_;
+  [[maybe_unused]] u32 fast_forward = BlockTiming::kNoEntry;
   while (true) {
     SMTU_CHECK_MSG(es.pc < es.program_size,
                    "pc ran off the end of the program (missing halt?)");
+    if constexpr (!kObserved) {
+      const usize start = es.pc;
+      const ScalarBlock& block = es.blocks[start];
+      if (block.length != 0 && es.max_instructions - es.stats.instructions >= block.length) {
+        es.block_taken = false;
+        es.pc = start + block.length;
+        for (u32 i = 0; i < block.length; ++i) {
+          const DecodedInst& dec = es.decoded[start + i];
+          dec.functional_handler(es, es.insts[start + i], dec);
+        }
+        es.stats.instructions += block.length;
+        es.stats.scalar_instructions += block.length;
+        if (fast_forward != BlockTiming::kNoEntry && es.block_taken) {
+          apply_timing(es, block, memo_[fast_forward], std::max(es.pc_redirect, es.last_issue));
+          ++es.memo_fast_forwards;
+          if (es.pc != start) fast_forward = BlockTiming::kNoEntry;
+        } else {
+          fast_forward = time_block_from_memo(block, start);
+        }
+        continue;
+      }
+      fast_forward = BlockTiming::kNoEntry;
+    }
     const DecodedInst& dec = es.decoded[es.pc];
     (kObserved ? dec.observed_handler : dec.handler)(es, es.insts[es.pc], dec);
     if (es.status != StepStatus::kRunning) [[unlikely]] {
@@ -923,6 +1148,11 @@ RunStats Machine::run(const Program& program, usize entry_pc) {
   if (observed_) {
     run_to_halt<true>();
   } else {
+    // A fresh memo per run: entries are keyed by pc, so they belong to
+    // this program only.
+    memo_head_.assign(es_.program_size, BlockTiming::kNoEntry);
+    memo_count_.assign(es_.program_size, 0);
+    memo_.clear();
     run_to_halt<false>();
   }
   return finish_run();

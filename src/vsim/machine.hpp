@@ -40,6 +40,13 @@
 // what is attached; both run() and step() dispatch through that choice.
 // A golden corpus of per-kernel stats, profiles and result hashes pins
 // every handler's behaviour in both instantiations.
+//
+// The unobserved run() also times straight-line scalar blocks from a
+// per-run memo keyed on the scoreboard state relative to the block's entry
+// (HACKING.md "Block-timing memo"). Scalar handlers have two more
+// instantiations for it, a functional half and a timing half: the block's
+// functional halves always run, its timing halves only when the memo has
+// no entry for that state.
 #pragma once
 
 #include <algorithm>
@@ -145,10 +152,18 @@ struct ExecState {
   // ---- Current run (valid between begin_run and finish_run) ---------------
   const Instruction* insts = nullptr;
   const DecodedInst* decoded = nullptr;
+  const ScalarBlock* blocks = nullptr;
   usize program_size = 0;
   usize pc = 0;
   StepStatus status = StepStatus::kHalted;
   RunStats stats;
+  // Block-timing memo (unobserved run() only): the outcome a block's
+  // functional pass took at its terminator, which its timing pass replays,
+  // and this run's work counts, flushed to telemetry by finish_run().
+  bool block_taken = false;
+  u64 memo_hits = 0;
+  u64 memo_misses = 0;
+  u64 memo_fast_forwards = 0;
   // Startup latencies by StartupKind, resolved from the config once per run.
   std::array<u32, kStartupKindCount> startup_by_kind{};
 
@@ -239,6 +254,30 @@ struct ExecState {
   }
 };
 
+// One recorded timing of a scalar block (HACKING.md "Block-timing memo").
+// With B = max(pc_redirect, last_issue) at the block's entry, the key packs
+// the scoreboard state relative to B (see block_key in machine.cpp) and the
+// terminator's outcome; the value is the timing state the block leaves,
+// relative to B. Register and vl ready times apply as max(old, B + value),
+// exactly what retirement does.
+struct BlockTiming {
+  u64 key[2] = {0, 0};
+  bool taken = false;        // taken branch, jal or jr: sets pc_redirect
+  bool fixed_point = false;  // leaves the state with this same key
+  u32 next = 0;              // older entry for the same block, or kNoEntry
+  u32 issue_used = 0;
+  u32 scalar_mem_used = 0;
+  Cycle last_issue = 0;
+  Cycle issue_cycle = 0;
+  Cycle scalar_mem_cycle = 0;
+  Cycle pc_redirect = 0;
+  Cycle vl_ready = 0;
+  Cycle watermark = 0;
+  std::array<Cycle, kMaxBlockRegs> sreg_ready{};  // by ScalarBlock::regs index
+
+  static constexpr u32 kNoEntry = ~u32{0};
+};
+
 class Machine {
  public:
   // Owning single-core machine (the classic setup).
@@ -306,6 +345,12 @@ class Machine {
   // run()'s dispatch loop over one handler table.
   template <bool kObserved>
   void run_to_halt();
+  // Times the memoizable block at `start` whose functional pass just ran:
+  // applies its memo entry for the current state and outcome, or runs the
+  // timing pass and records one. Returns the entry when applying it again
+  // would fast-forward the next iteration (a fixed-point self-loop), else
+  // BlockTiming::kNoEntry.
+  [[gnu::noinline]] u32 time_block_from_memo(const ScalarBlock& block, usize start);
 
   MachineConfig config_;
   // Owning mode keeps its memory/STM here; core mode leaves these null.
@@ -314,6 +359,12 @@ class Machine {
 
   // Step-mode run state (valid between begin_run and finish_run).
   std::vector<DecodedInst> local_decode_;
+  std::vector<ScalarBlock> local_blocks_;
+  // The unobserved run()'s block-timing memo, emptied by every run():
+  // per block start pc the newest entry and the chain length.
+  std::vector<u32> memo_head_;
+  std::vector<u8> memo_count_;
+  std::vector<BlockTiming> memo_;
   StmUnit::Stats stm_before_;
   bool observed_ = false;  // this run dispatches through observed_handler
 

@@ -1,6 +1,7 @@
 #include "vsim/program.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -216,8 +217,10 @@ DecodedInst decode_instruction(const Instruction& inst) {
   // Bind the threaded-dispatch target once per static instruction; the
   // handlers index register-timing arrays with these numbers, so validate
   // them here rather than per dynamic execution.
-  d.handler = opcode_handler(inst.op, /*observed=*/false);
-  d.observed_handler = opcode_handler(inst.op, /*observed=*/true);
+  d.handler = opcode_handler(inst.op, HandlerMode::kUnobserved);
+  d.observed_handler = opcode_handler(inst.op, HandlerMode::kObserved);
+  d.functional_handler = opcode_handler(inst.op, HandlerMode::kFunctional);
+  d.timing_handler = opcode_handler(inst.op, HandlerMode::kTiming);
   for (u32 i = 0; i < d.num_sregs; ++i) {
     SMTU_CHECK_MSG(d.sregs[i] < kNumScalarRegs, "scalar register out of range");
   }
@@ -235,6 +238,58 @@ std::vector<DecodedInst> decode_instructions(const std::vector<Instruction>& ins
   decoded.reserve(instructions.size());
   for (const Instruction& inst : instructions) decoded.push_back(decode_instruction(inst));
   return decoded;
+}
+
+std::vector<ScalarBlock> describe_blocks(const std::vector<Instruction>& instructions,
+                                        const std::vector<DecodedInst>& decoded) {
+  SMTU_CHECK(decoded.size() == instructions.size());
+  // The block at pc is the instruction at pc followed by the block at pc + 1
+  // unless pc ends one, so one backward sweep of register masks and flags
+  // describes every start.
+  struct Run {
+    usize length = 0;
+    u32 touched = 0;
+    u32 written = 0;
+    bool scalar_mem = false;
+    bool sets_vl = false;
+  };
+  std::vector<ScalarBlock> blocks(instructions.size());
+  Run next;  // the run starting at pc + 1
+  for (usize pc = instructions.size(); pc-- > 0;) {
+    const Instruction& inst = instructions[pc];
+    const DecodedInst& dec = decoded[pc];
+    if (dec.is_vector || inst.op == Op::kBarrier || inst.op == Op::kHalt) {
+      next = {};
+      continue;
+    }
+    Run run = op_block_terminator(inst.op) ? Run{} : next;
+    ++run.length;
+    for (u32 i = 0; i < dec.num_sregs; ++i) run.touched |= 1u << dec.sregs[i];
+    if (op_result_latency(inst.op) != ResultLatency::kNone) {
+      if (inst.a < kNumScalarRegs) {
+        run.touched |= 1u << inst.a;
+        run.written |= 1u << inst.a;
+      } else {
+        run.touched = ~0u;  // never memoized: stepping aborts where it always did
+      }
+    }
+    run.scalar_mem |= dec.scalar_mem;
+    run.sets_vl |= inst.op == Op::kSsvl || inst.op == Op::kSetvl;
+    next = run;
+
+    const u32 regs = run.touched & ~(1u << kRegZero);
+    if (run.length < 2 || std::popcount(regs) > static_cast<int>(kMaxBlockRegs)) continue;
+    ScalarBlock& block = blocks[pc];
+    block.length = static_cast<u32>(run.length);
+    block.scalar_mem = run.scalar_mem;
+    block.sets_vl = run.sets_vl;
+    for (u32 r = 0; r < kNumScalarRegs; ++r) {
+      if ((regs >> r & 1u) == 0) continue;
+      if (run.written >> r & 1u) block.written |= static_cast<u16>(1u << block.num_regs);
+      block.regs[block.num_regs++] = static_cast<u8>(r);
+    }
+  }
+  return blocks;
 }
 
 usize Program::label(const std::string& name) const {

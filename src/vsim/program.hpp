@@ -55,6 +55,52 @@ constexpr bool op_scalar_mem(Op op) {
   }
 }
 
+// Scalar ops that write a result into register `a`, and which latency
+// that result pays (the handlers' retirement and the block describer's
+// register sets read the same table).
+enum class ResultLatency : u8 { kNone, kOp, kMul, kLoad };
+constexpr ResultLatency op_result_latency(Op op) {
+  switch (op) {
+    case Op::kLi:
+    case Op::kMv:
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kAnd:
+    case Op::kOr:
+    case Op::kXor:
+    case Op::kSll:
+    case Op::kSrl:
+    case Op::kMin:
+    case Op::kMax:
+    case Op::kAddi:
+    case Op::kAndi:
+    case Op::kSlli:
+    case Op::kSrli:
+    case Op::kJal:
+    case Op::kSsvl:
+    case Op::kSetvl:
+      return ResultLatency::kOp;
+    case Op::kMul:
+    case Op::kMuli:
+    case Op::kFAdd:
+    case Op::kFMul:
+      return ResultLatency::kMul;
+    case Op::kLw:
+    case Op::kLhu:
+    case Op::kLbu:
+    case Op::kAmoAdd:
+      return ResultLatency::kLoad;
+    default:
+      return ResultLatency::kNone;
+  }
+}
+
+// Control transfers: the last instruction of a scalar block.
+constexpr bool op_block_terminator(Op op) {
+  return op == Op::kBeq || op == Op::kBne || op == Op::kBlt || op == Op::kBge ||
+         op == Op::kJal || op == Op::kJr;
+}
+
 // Functional unit a vector instruction occupies (meaningful only when
 // op_is_vector(op)).
 constexpr ExecUnit op_unit(Op op) {
@@ -114,6 +160,11 @@ struct ExecState;
 // `handler` compiles those branches out. Machine::begin_run picks one of
 // the two for the whole run from what is attached, so a predecoded Program
 // stays immutable and shareable (ProgramCache) whichever way it runs.
+//
+// `functional_handler` and `timing_handler` are the same template's two
+// halves, bound for the scalar ops a ScalarBlock may hold (null otherwise):
+// the block-timing memo runs a block's functional halves, and replays the
+// timing halves only when its memo has no entry for the block's state.
 struct DecodedInst {
   bool is_vector = false;
   bool indexed_vmem = false;  // 1-element/cycle vmem access (v_ldx/v_stx/v_lds/v_sts)
@@ -128,17 +179,48 @@ struct DecodedInst {
   u8 dsts[2] = {0, 0};
   void (*handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
   void (*observed_handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
+  void (*functional_handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
+  void (*timing_handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
 };
 
 // Pre-bound per-opcode execute handler (see DecodedInst::handler).
 using OpHandler = void (*)(ExecState&, const Instruction&, const DecodedInst&);
 
-// The handler for one opcode, from one of the two process-global
-// per-opcode tables (defined next to the Machine in machine.cpp): the
-// observed table when `observed`, else the hook-free one. Stable for the
-// process lifetime, so predecoded programs cached by ProgramCache stay
-// valid.
-OpHandler opcode_handler(Op op, bool observed);
+// Which instantiation of the per-opcode template a handler is: a whole
+// instruction without or with the observer hooks, or one of the two halves
+// a memoized scalar block runs (registers and memory only; the timing
+// model only, with the block's recorded branch outcome).
+enum class HandlerMode : u8 { kUnobserved, kObserved, kFunctional, kTiming };
+
+// The handler for one opcode, from one of the four process-global
+// per-opcode tables (defined next to the Machine in machine.cpp). The
+// half tables hold null for the ops a ScalarBlock never contains. Stable
+// for the process lifetime, so predecoded programs cached by ProgramCache
+// stay valid.
+OpHandler opcode_handler(Op op, HandlerMode mode);
+
+// A scalar block: the maximal run of scalar instructions other than
+// `barrier`/`halt` starting at one pc, ending at (and including) the first
+// control transfer (op_block_terminator) or at the program's end. The
+// unobserved Machine::run() times memoizable blocks from a per-run memo
+// keyed on the scoreboard state of `regs` relative to the block's entry
+// (HACKING.md "Block-timing memo"). A block is memoizable when it holds at
+// least two instructions and touches at most kMaxBlockRegs registers
+// (r0 excluded: it never waits and never retires).
+inline constexpr u32 kMaxBlockRegs = 13;
+struct ScalarBlock {
+  u32 length = 0;  // instructions; 0 = not memoizable (step one at a time)
+  u8 num_regs = 0;
+  bool scalar_mem = false;  // holds a load, store or amo_add
+  bool sets_vl = false;     // holds a setvl or ssvl
+  u16 written = 0;          // bit i: regs[i] is some instruction's destination
+  u8 regs[kMaxBlockRegs] = {};  // read or written, ascending
+};
+
+// One ScalarBlock per pc (the block starting there), from the program's
+// instructions and their predecode.
+std::vector<ScalarBlock> describe_blocks(const std::vector<Instruction>& instructions,
+                                        const std::vector<DecodedInst>& decoded);
 
 // Predecode of a single instruction / an instruction sequence. Machine::run
 // uses Program::decoded when present and falls back to decoding on the fly
@@ -157,11 +239,16 @@ struct Program {
   // One entry per instruction when predecoded (assemble() always fills
   // this); empty on hand-built programs until predecode() is called.
   std::vector<DecodedInst> decoded;
+  // One entry per instruction when predecoded, like `decoded`.
+  std::vector<ScalarBlock> blocks;
 
   usize size() const { return instructions.size(); }
 
-  // (Re)builds `decoded` from `instructions`.
-  void predecode() { decoded = decode_instructions(instructions); }
+  // (Re)builds `decoded` and `blocks` from `instructions`.
+  void predecode() {
+    decoded = decode_instructions(instructions);
+    blocks = describe_blocks(instructions, decoded);
+  }
   bool has_label(const std::string& name) const { return labels.count(name) > 0; }
   usize label(const std::string& name) const;
 

@@ -200,7 +200,8 @@ TEST(Docs, TelemetryReferenceCoversMetricsSchemaAndTooling) {
         "pool.task_wait_us", "pool.task_run_us", "pool.queue_depth_peak",
         "pool.worker_util_pct", "cache.program.", "cache.stage.",
         "stage.build_us", "bench.item_wall_us",
-        "vsim.assemble_us", "vsim.run_us", "mem.privatized_bytes_total"}) {
+        "vsim.assemble_us", "vsim.run_us", "mem.privatized_bytes_total",
+        "vsim.block_memo.{hits,misses,fast_forward}_total"}) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/TELEMETRY.md does not mention " << needle;
   }

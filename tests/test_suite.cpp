@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "suite/dsab.hpp"
 #include "suite/generators.hpp"
 #include "suite/metrics.hpp"
@@ -193,6 +197,44 @@ TEST(ParallelSuite, MatchesInlineBuildEntryForEntry) {
   ASSERT_EQ(anz.size(), 10u);
   for (usize i = 0; i < anz.size(); ++i) {
     EXPECT_EQ(anz[i].matrix.entries(), inline_suite[10 + i].matrix.entries());
+  }
+}
+
+// FNV digest of every suite matrix's name, dimensions and entries.
+std::string suite_digest(const std::vector<SuiteMatrix>& suite) {
+  testing::SimHash hash;
+  for (const SuiteMatrix& entry : suite) {
+    hash.update(entry.name);
+    hash.update_u64(entry.matrix.rows());
+    hash.update_u64(entry.matrix.cols());
+    hash.update_u64(entry.matrix.nnz());
+    for (const CooEntry& e : entry.matrix.entries()) {
+      hash.update_u64(static_cast<u64>(e.row) << 32 | e.col);
+      hash.update_u64(std::bit_cast<u32>(e.value));
+    }
+  }
+  return hash.hex();
+}
+
+TEST(SuiteGolden, DigestsArePinned) {
+  // Captured from the generators before Rng::sample_without_replacement
+  // collected its draws into bitmaps; any change to the draws, their order
+  // or the value stream moves them.
+  struct Golden {
+    double scale;
+    u64 seed;
+    const char* digest;
+  };
+  for (const Golden& golden : {
+           Golden{0.05, 0xD5ABD5AB, "a033dab455d81243a100b8e4978027e0"},
+           Golden{0.05, 77, "242dd6e99463cff59fee8b5f988c7d56"},
+           Golden{0.3, 0xD5ABD5AB, "1d288374aebb92c895f9ba12fd8c6767"},
+           Golden{0.3, 77, "ec166cff431c00cedc25c2f52580a929"},
+       }) {
+    ThreadPool pool(2);
+    EXPECT_EQ(suite_digest(build_dsab_suite(pool, {.seed = golden.seed, .scale = golden.scale})),
+              golden.digest)
+        << "scale " << golden.scale << " seed " << golden.seed;
   }
 }
 

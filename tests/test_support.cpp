@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "support/bits.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "testing.hpp"
 
 namespace smtu {
 namespace {
@@ -83,6 +86,75 @@ TEST(Rng, SampleFullPopulation) {
   const auto sample = rng.sample_without_replacement(50, 50);
   ASSERT_EQ(sample.size(), 50u);
   for (usize i = 0; i < 50; ++i) EXPECT_EQ(sample[i], i);
+}
+
+TEST(Rng, SamplerMatchesTheHashAndSortOracle) {
+  // Every population up to past the bitmap cutoff (4096), with counts on
+  // both sides of the dense/Floyd switch (count * 4 >= population) and of
+  // the bitmap's one-word-per-value rule: same sample, same next draw.
+  const auto expect_same = [](u64 population, u64 count, u64 seed) {
+    Rng rng(seed);
+    Rng oracle(seed);
+    const std::vector<u64> sample = rng.sample_without_replacement(population, count);
+    ASSERT_EQ(sample, testing::sample_without_replacement_oracle(oracle, population, count))
+        << "population " << population << " count " << count << " seed " << seed;
+    ASSERT_EQ(rng.next_u64(), oracle.next_u64());
+  };
+  for (u64 population = 1; population <= 5000; ++population) {
+    const u64 quarter = (population + 3) / 4;  // smallest dense count
+    for (const u64 count : {u64{0}, u64{1}, u64{2}, quarter - 1, population / 64,
+                            population / 64 + 1}) {
+      if (count < quarter) expect_same(population, count, population * 1000 + count);
+    }
+    // Dense samples shuffle the whole population: every eighth past 512.
+    if (population <= 512 || population % 8 == 0) {
+      expect_same(population, quarter, population * 1000 + quarter);
+      expect_same(population, population, population * 1000 + population);
+    }
+  }
+  for (u64 seed = 0; seed < 200; ++seed) {
+    expect_same(169, 42, seed);  // the paper suite's widest banded rows
+    expect_same(4096 + seed, 1 + seed % 80, seed);
+    expect_same(1'000'000, 15'624 + seed % 3, seed);  // around 1'000'000 / 64
+  }
+}
+
+TEST(Rng, BelowMatchesPlainModuloWithRejection) {
+  // The threshold is computed only for draws below the bound; the accepted
+  // draws must be exactly the ones the plain rejection loop accepts.
+  for (const u64 bound : {u64{1}, u64{2}, u64{3}, u64{7}, u64{1} << 32, (u64{1} << 63) + 5,
+                          ~u64{0} - 1, ~u64{0}}) {
+    Rng rng(bound);
+    Rng plain(bound);
+    for (int i = 0; i < 1000; ++i) {
+      const u64 threshold = (~bound + 1) % bound;
+      u64 raw = plain.next_u64();
+      while (raw < threshold) raw = plain.next_u64();
+      ASSERT_EQ(rng.below(bound), raw % bound) << "bound " << bound;
+    }
+  }
+}
+
+TEST(Rng, RangeCoversTheFullSpan) {
+  Rng rng(5);
+  Rng raw(5);
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.range(kMin, kMax), static_cast<i64>(static_cast<u64>(kMin) + raw.next_u64()));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const i64 value = rng.range(kMin, kMin + 2);
+    EXPECT_TRUE(value >= kMin && value <= kMin + 2);
+    EXPECT_EQ(rng.range(kMax, kMax), kMax);
+    const i64 wide = rng.range(-5, kMax);
+    EXPECT_GE(wide, -5);
+  }
+}
+
+TEST(RngDeathTest, BelowZeroAborts) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.below(0), "positive bound");
 }
 
 TEST(Strings, Trim) {

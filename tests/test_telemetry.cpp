@@ -17,7 +17,10 @@
 
 #include "formats/coo.hpp"
 #include "kernels/staging.hpp"
+#include "vsim/assembler.hpp"
+#include "vsim/machine.hpp"
 #include "vsim/memory.hpp"
+#include "vsim/profiler.hpp"
 #include "vsim/program_cache.hpp"
 
 namespace smtu::telemetry {
@@ -401,6 +404,40 @@ TEST(CacheCounters, PrivatizedBytesCountTheLogicalSizeOnce) {
   tail_reader.attach_base(snapshot, 4096);
   EXPECT_EQ(tail_reader.read_u32(200), 0u);  // a tail read privatizes too
   EXPECT_EQ(counter("mem.privatized_bytes_total").value(), 8192u + 4096u);
+}
+
+// The interpreter's block-timing memo counts per run and adds to the
+// registry once, at finish_run, only while telemetry is on; observed runs
+// never memoize, so they count nothing.
+TEST(BlockMemoCounters, CountEveryMemoizedBlockOnceWhenEnabled) {
+  TelemetryGuard guard;
+  const vsim::Program program = vsim::assemble(
+      "    li r2, 100\n"
+      "loop:\n"
+      "    addi r1, r1, 1\n"
+      "    addi r2, r2, -1\n"
+      "    bne r2, r0, loop\n"
+      "    halt\n");
+  const auto memo_total = [] {
+    return counter("vsim.block_memo.hits_total").value() +
+           counter("vsim.block_memo.misses_total").value() +
+           counter("vsim.block_memo.fast_forward_total").value();
+  };
+  vsim::Machine machine{vsim::MachineConfig{}};
+  machine.run(program);
+  EXPECT_EQ(memo_total(), 0u);
+
+  set_enabled(true);
+  machine.run(program);
+  // One block from pc 0 (its first iteration included), 99 from the loop.
+  EXPECT_EQ(memo_total(), 100u);
+  EXPECT_LE(counter("vsim.block_memo.misses_total").value(), 3u);
+  EXPECT_GE(counter("vsim.block_memo.fast_forward_total").value(), 95u);
+
+  vsim::PerfCounters profiler;
+  machine.attach_profiler(&profiler);
+  machine.run(program);
+  EXPECT_EQ(memo_total(), 100u);
 }
 
 TEST(CacheCounters, CountersUntouchedWhileDisabled) {

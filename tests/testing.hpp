@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -272,6 +273,43 @@ inline std::optional<serve::Trace> parse_trace_dom(const JsonValue& document,
   }
   if (trace.requests.empty()) return fail(error, "trace has no requests");
   return trace;
+}
+
+// The sampler Rng::sample_without_replacement had before its Floyd and
+// dense draws collected into bitmaps: a hash set (or a prefix copy) and a
+// sort. It makes the same draws, so the two must agree on every sample and
+// leave the generator in the same state.
+inline std::vector<u64> sample_without_replacement_oracle(Rng& rng, u64 population,
+                                                          u64 count) {
+  std::vector<u64> chosen;
+  chosen.reserve(count);
+  if (count == 0) return chosen;
+  if (count * 4 >= population) {
+    std::vector<u64> all(population);
+    for (u64 i = 0; i < population; ++i) all[i] = i;
+    rng.shuffle(all);
+    chosen.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count));
+  } else {
+    constexpr u64 kEmpty = ~u64{0};
+    const u64 slots = std::bit_ceil(count * 2);
+    std::vector<u64> table(slots, kEmpty);
+    const auto insert = [&](u64 value) {
+      for (u64 slot = (value * 0x9e3779b97f4a7c15ULL) & (slots - 1);;
+           slot = (slot + 1) & (slots - 1)) {
+        if (table[slot] == value) return false;
+        if (table[slot] == kEmpty) {
+          table[slot] = value;
+          chosen.push_back(value);
+          return true;
+        }
+      }
+    };
+    for (u64 j = population - count; j < population; ++j) {
+      if (!insert(rng.below(j + 1))) insert(j);
+    }
+  }
+  std::sort(chosen.begin(), chosen.end());
+  return chosen;
 }
 
 // 128-bit content hash as 32 lowercase hex digits (two FNV-1a-64 streams

@@ -262,8 +262,8 @@ def extract_telemetry(document):
 
 def show_telemetry(document):
     """Render host telemetry (docs/TELEMETRY.md): counters/gauges, latency
-    histograms, and the cache hit-rate rollup. Host-side metrics, never
-    gated by bench_diff."""
+    histograms, the cache hit-rate rollup and the block-timing memo's hit
+    ratio. Host-side metrics, never gated by bench_diff."""
     telemetry = extract_telemetry(document)
     counters = telemetry.get("counters", {})
     gauges = telemetry.get("gauges", {})
@@ -304,6 +304,20 @@ def show_telemetry(document):
     if rows:
         print("  cache hit rates:")
         print_table(["cache", "hits", "misses", "hit rate"], rows)
+
+    # The interpreter's block-timing memo (HACKING.md "Block-timing memo"):
+    # a hit or a fast-forwarded loop iteration times a scalar block without
+    # its timing pass; a miss runs it.
+    memo = {kind: counters.get(f"vsim.block_memo.{kind}_total")
+            for kind in ("hits", "fast_forward", "misses")}
+    if any(value is not None for value in memo.values()):
+        hits, fast_forward, misses = (memo[kind] or 0
+                                      for kind in ("hits", "fast_forward", "misses"))
+        total = hits + fast_forward + misses
+        ratio = f"{100.0 * (hits + fast_forward) / total:.1f}%" if total else "-"
+        print("  block-timing memo:")
+        print_table(["hits", "fast-forwards", "misses", "hit ratio"],
+                    [[str(hits), str(fast_forward), str(misses), ratio]])
 
 
 def show_serve(document):

@@ -356,6 +356,22 @@ class ProfReportTelemetry(unittest.TestCase):
         self.assertIn("95.2%", out)
         self.assertIn("50.0%", out)
 
+    def test_block_memo_hit_ratio(self):
+        # Hits and fast-forwarded iterations both skip the timing pass:
+        # (30 + 60) / (30 + 60 + 10).
+        doc = telemetry_doc()
+        doc["counters"].update({"vsim.block_memo.hits_total": 30,
+                                "vsim.block_memo.fast_forward_total": 60,
+                                "vsim.block_memo.misses_total": 10})
+        code, out = run_show_with_telemetry(doc)
+        self.assertEqual(code, 0, out)
+        self.assertIn("block-timing memo:", out)
+        self.assertIn("90.0%", out)
+        # Without the counters (an observed-only run) the table is absent.
+        code, out = run_show_with_telemetry(telemetry_doc())
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("block-timing memo", out)
+
     def test_embedded_telemetry_section_renders(self):
         # A bench/repro report produced with --telemetry carries the same
         # object under its "telemetry" key.
